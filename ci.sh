@@ -46,6 +46,10 @@ for simd in scalar auto; do
   done
 done
 
+# The perfledger benchmark's own tests (tiny warehouses in temp dirs, about
+# a minute): a storage or engine change that breaks the ledger fails here.
+cargo test --release --offline -q --manifest-path perfledger/Cargo.toml
+
 # Smoke-run the scaling benchmark (fast mode: 1 run per point); it asserts
 # rows are byte-identical across thread counts before reporting walls.
 MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scaling

@@ -13,19 +13,13 @@
 //! Honors `MAXSON_BENCH_DATA` (default `bench-data/`) and
 //! `MAXSON_BENCH_ROWS` (default 2000) like every other bench binary.
 
-use maxson_bench::workload::{bench_root, load_tables, session_for};
-use maxson_bench::SystemKind;
+use maxson_bench::workload::{bench_root, rebuild_warehouse};
 
 fn main() {
-    let root = bench_root();
-    // Start clean so files from an older format never survive.
-    let _ = std::fs::remove_dir_all(&root);
-    let queries = load_tables();
-    let (_, cached) = session_for(SystemKind::Maxson, &queries, u64::MAX, true);
+    let queries = rebuild_warehouse();
     println!(
-        "rebuilt {} ({} tables, {} cached paths)",
-        root.display(),
-        queries.len(),
-        cached.len()
+        "rebuilt {} ({} tables)",
+        bench_root().display(),
+        queries.len()
     );
 }

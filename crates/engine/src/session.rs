@@ -16,7 +16,9 @@ use std::time::{Duration, Instant};
 
 use maxson_json::JsonPath;
 use maxson_obs::{Registry, SpanId, Tracer};
-use maxson_storage::{Catalog, Cell, CmpOp, ColumnType, Field, MmapMode, Schema, SearchArgument};
+use maxson_storage::{
+    Catalog, Cell, CmpOp, ColumnType, Field, MmapMode, Schema, SearchArgument, Table,
+};
 
 use crate::error::{EngineError, Result};
 use crate::exec::{execute_plan_traced, ExecOptions};
@@ -42,8 +44,11 @@ pub struct ScanContext<'a> {
     pub database: &'a str,
     /// Name of the scanned table.
     pub table: &'a str,
-    /// The raw table schema.
-    pub table_schema: &'a Schema,
+    /// The scanned table as this query's planning snapshot sees it. A
+    /// rewriter judges staleness against it and reads raw columns from it,
+    /// never from a catalog view of its own, which misses writes made
+    /// through [`Session::catalog_mut`].
+    pub raw_table: &'a Table,
     /// Raw columns referenced as plain columns (must appear in the output).
     pub raw_columns: &'a [String],
     /// Deduplicated `get_json_object` calls over this table:
@@ -671,16 +676,17 @@ impl Session {
     /// Compile SQL into a plan without executing. Returns the plan and the
     /// planning time — the measurement behind Fig. 13.
     pub fn plan(&self, sql: &str) -> Result<(LogicalPlan, std::time::Duration, Vec<String>)> {
-        let pq = self.plan_snapshot(sql)?;
+        let (pq, snapshot) = self.plan_snapshot(sql)?;
+        drop(snapshot);
         Ok((pq.plan, pq.planning, pq.names))
     }
 
     /// Plan under one warehouse read lock. The returned plan holds cloned
-    /// `Table` handles, so the lock is released when this returns and
-    /// execution proceeds against an immutable snapshot; everything the
+    /// `Table` handles, so execution proceeds against an immutable snapshot
+    /// once the caller drops the returned guard; everything the
     /// post-execution bookkeeping needs (epoch, fingerprint identity,
     /// scanned tables, reuse handle) rides along in the same snapshot.
-    fn plan_snapshot(&self, sql: &str) -> Result<PlannedQuery> {
+    fn plan_snapshot(&self, sql: &str) -> Result<(PlannedQuery, RwLockReadGuard<'_, Warehouse>)> {
         let start = Instant::now();
         let stmt = parse_select(sql)?;
         let wh = self.wh_read();
@@ -695,7 +701,7 @@ impl Session {
                 tables.push(key);
             }
         }
-        Ok(PlannedQuery {
+        let pq = PlannedQuery {
             plan,
             planning: start.elapsed(),
             names,
@@ -705,7 +711,8 @@ impl Session {
             stmt,
             reuse_gen: wh.reuse.as_ref().map_or(0, |c| c.generation()),
             reuse: wh.reuse.clone(),
-        })
+        };
+        Ok((pq, wh))
     }
 
     /// Execute a SELECT statement. A leading `EXPLAIN` keyword returns the
@@ -718,7 +725,8 @@ impl Session {
             if let Some(inner) = strip_keyword(rest, "analyze") {
                 return self.explain_analyze(inner);
             }
-            let pq = self.plan_snapshot(rest)?;
+            let (pq, snapshot) = self.plan_snapshot(rest)?;
+            drop(snapshot);
             let metrics = ExecMetrics {
                 planning: pq.planning,
                 ..Default::default()
@@ -745,6 +753,13 @@ impl Session {
         if root.is_recording() {
             root.attr("sql", sql.trim());
         }
+        // The reuse probes below run before `snapshot` (the planning read
+        // lock) is dropped, so an epoch swap cannot land between a query's
+        // snapshot and its probe and empty the cache under it.
+        let (planned, snapshot) = {
+            let _planning_span = tracer.child("planning", root.id());
+            self.plan_snapshot(sql)?
+        };
         let PlannedQuery {
             plan,
             planning,
@@ -755,10 +770,7 @@ impl Session {
             stmt,
             reuse,
             reuse_gen,
-        } = {
-            let _planning_span = tracer.child("planning", root.id());
-            self.plan_snapshot(sql)?
-        };
+        } = planned;
         let mut metrics = ExecMetrics {
             planning,
             ..Default::default()
@@ -778,35 +790,30 @@ impl Session {
         // 1. Full-result probe: a hit serves the cached rows directly —
         //    no operator runs, no split task is scheduled (so no fair-
         //    scheduler lease is ever taken), no document is parsed.
-        let mut served: Option<Vec<Vec<Cell>>> = None;
+        // 2. On a miss, the fragment probe: the peeled statement's key
+        //    (LIMIT/DISTINCT cleared) — equal, by construction, to the
+        //    full key of the statement without those uppers.
+        let mut served: Option<CachedEntry> = None;
+        let mut frag_key: Option<u64> = None;
+        let mut frag_entry: Option<CachedEntry> = None;
         if let (Some(cache), Some(key)) = (&reuse, full_key) {
             if cache.is_disabled() {
                 reuse_status = "disabled";
             } else if let Some(entry) = cache.lookup(key, epoch, false) {
                 metrics.reuse_hits = 1;
                 reuse_status = "hit";
-                served = Some((*entry.rows).clone());
+                served = Some(entry);
             } else {
                 metrics.reuse_misses = 1;
+                frag_key = canonical_fragment_text(&stmt).map(|t| reuse_key(parser, &t));
+                frag_entry = frag_key.and_then(|k| cache.lookup(k, epoch, true));
             }
         }
+        drop(snapshot);
 
         let rows = match served {
-            Some(rows) => rows,
+            Some(entry) => (*entry.rows).clone(),
             None => {
-                // 2. Fragment probe: the peeled statement's key (LIMIT/
-                //    DISTINCT cleared) — equal, by construction, to the
-                //    full key of the statement without those uppers.
-                let frag_key = match (&reuse, reuse_status) {
-                    (Some(_), "miss") => {
-                        canonical_fragment_text(&stmt).map(|t| reuse_key(parser, &t))
-                    }
-                    _ => None,
-                };
-                let frag_entry = match (&reuse, frag_key) {
-                    (Some(cache), Some(k)) => cache.lookup(k, epoch, true),
-                    _ => None,
-                };
                 if let Some(entry) = frag_entry {
                     // Replay cached intermediate rows under rebuilt uppers.
                     metrics.reuse_fragment_hits = 1;
@@ -1485,7 +1492,7 @@ impl Session {
             let ctx = ScanContext {
                 database: &table_ref.database,
                 table: &table_ref.table,
-                table_schema: &schema,
+                raw_table: table,
                 raw_columns: &raw_columns,
                 json_calls: &json_calls,
                 predicate,

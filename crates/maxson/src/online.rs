@@ -8,7 +8,6 @@
 //! parse time), and inserts them into the LRU.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -18,7 +17,7 @@ use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
 use maxson_obs::Tracer;
-use maxson_storage::{Catalog, Cell, Field, Schema, Table};
+use maxson_storage::{Cell, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
 
 /// One cached value column.
@@ -72,7 +71,6 @@ impl LruStats {
 
 /// The online LRU rewriter/baseline.
 pub struct OnlineLruRewriter {
-    catalog: Catalog,
     budget_bytes: u64,
     state: Arc<Mutex<LruState>>,
     tracer: Tracer,
@@ -81,15 +79,15 @@ pub struct OnlineLruRewriter {
 }
 
 impl OnlineLruRewriter {
-    /// Open over the warehouse at `root` with a byte budget.
-    pub fn open(root: impl Into<PathBuf>, budget_bytes: u64) -> crate::Result<Self> {
-        Ok(OnlineLruRewriter {
-            catalog: Catalog::open(root.into())?,
+    /// An empty cache with a byte budget. Scans read the raw table of the
+    /// planning snapshot, so the rewriter needs no catalog of its own.
+    pub fn new(budget_bytes: u64) -> Self {
+        OnlineLruRewriter {
             budget_bytes,
             state: Arc::new(Mutex::new(LruState::default())),
             tracer: Tracer::disabled(),
             metrics: Arc::clone(maxson_obs::Registry::global()),
-        })
+        }
     }
 
     /// Record hit/miss/evict events and per-scan spans into `tracer`
@@ -127,23 +125,20 @@ impl TableScanRewriter for OnlineLruRewriter {
         if ctx.json_calls.is_empty() {
             return Ok(None);
         }
-        let table = self
-            .catalog
-            .table(ctx.database, ctx.table)
-            .map_err(EngineError::Storage)?
-            .clone();
+        let table = ctx.raw_table.clone();
+        let schema = ctx.raw_table.schema();
         // Output schema: raw columns then one pseudo-column per call.
         let mut raw_names: Vec<String> = ctx.raw_columns.to_vec();
         // The JSON columns themselves are read by the provider to parse
         // misses, but are only part of the *output* if referenced raw.
-        raw_names.sort_by_key(|c| ctx.table_schema.index_of(c));
+        raw_names.sort_by_key(|c| schema.index_of(c));
         let raw_projection: Vec<usize> = raw_names
             .iter()
-            .filter_map(|c| ctx.table_schema.index_of(c))
+            .filter_map(|c| schema.index_of(c))
             .collect();
         let mut out_fields: Vec<Field> = raw_projection
             .iter()
-            .map(|&i| ctx.table_schema.fields()[i].clone())
+            .map(|&i| schema.fields()[i].clone())
             .collect();
         let mut resolved = Vec::new();
         let mut call_fields = Vec::new();
@@ -416,7 +411,7 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let (mut session, root) = setup("hits");
-        let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::new(u64::MAX);
         let stats_handle = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
@@ -444,7 +439,7 @@ mod tests {
     fn eviction_under_small_budget() {
         let (mut session, root) = setup("evict");
         // Budget fits roughly one column of small values.
-        let lru = OnlineLruRewriter::open(&root, 80).unwrap();
+        let lru = OnlineLruRewriter::new(80);
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         session
@@ -469,7 +464,7 @@ mod tests {
     #[test]
     fn table_update_invalidates_entries() {
         let (mut session, root) = setup("invalidate");
-        let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::new(u64::MAX);
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
@@ -486,18 +481,13 @@ mod tests {
                 7,
             )
             .unwrap();
-        // The rewriter's own catalog instance must observe the change; it
-        // reads from disk via Table metadata, but our in-memory Table handle
-        // is stale — reopen to simulate the next planning cycle.
-        let lru2 = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
-        // Carry over the old state to prove invalidation (versions differ).
-        *lru2.state.lock().unwrap() = std::mem::take(&mut state.lock().unwrap());
-        let state2 = Arc::clone(&lru2.state);
-        session.set_scan_rewriter(Some(Box::new(lru2)));
+        // The installed rewriter sees the append through the planning
+        // snapshot: it reads the new part file and the version bump
+        // invalidates the old entry.
         let r = session.execute(sql).unwrap();
         assert_eq!(r.rows.len(), 31);
         assert_eq!(
-            state2.lock().unwrap().misses,
+            state.lock().unwrap().misses,
             2,
             "stale entry must not be served"
         );

@@ -42,7 +42,9 @@ pub struct RewriteStats {
 }
 
 /// The rewriter. Holds its own read-only catalog handle (opened from the
-/// same warehouse root the session uses) plus the cache registry.
+/// same warehouse root the session uses) for the cache tables, plus the
+/// cache registry. The raw side comes from the planning snapshot
+/// ([`ScanContext::raw_table`]).
 pub struct MaxsonScanRewriter {
     catalog: Catalog,
     registry: CacheRegistry,
@@ -125,10 +127,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         }
         let span = self.tracer.span("maxson_rewrite");
         span.attr("table", format!("{}.{}", ctx.database, ctx.table));
-        let raw_meta = self
-            .catalog
-            .table_meta(ctx.database, ctx.table)
-            .map_err(EngineError::Storage)?;
+        let raw_schema = ctx.raw_table.schema();
 
         // Classify each call: valid hit, stale, or miss (Alg. 1 lines 14-23).
         let invalidated_before = self.stats.lock().expect("rewriter stats lock").invalidated;
@@ -139,7 +138,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
             let loc = JsonPathLocation::new(ctx.database, ctx.table, column.clone(), path.clone());
             match self.registry.get(&loc) {
                 Some(entry) => {
-                    if raw_meta.modified_at > entry.cached_at {
+                    if ctx.raw_table.modified_at() > entry.cached_at {
                         // Stale: mark invalid, fall back to parsing.
                         self.invalid
                             .lock()
@@ -199,11 +198,11 @@ impl TableScanRewriter for MaxsonScanRewriter {
                 raw_names.push(column.clone());
             }
         }
-        raw_names.sort_by_key(|c| ctx.table_schema.index_of(c));
+        raw_names.sort_by_key(|c| raw_schema.index_of(c));
         let raw_projection: Vec<usize> = raw_names
             .iter()
             .map(|c| {
-                ctx.table_schema.index_of(c).ok_or_else(|| {
+                raw_schema.index_of(c).ok_or_else(|| {
                     EngineError::plan(format!(
                         "column '{c}' missing in {}.{}",
                         ctx.database, ctx.table
@@ -233,7 +232,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         // Output schema: raw fields then cache fields.
         let mut out_fields: Vec<Field> = raw_projection
             .iter()
-            .map(|&i| ctx.table_schema.fields()[i].clone())
+            .map(|&i| raw_schema.fields()[i].clone())
             .collect();
         for &ci in &cache_projection {
             out_fields.push(cache_table.schema().fields()[ci].clone());
@@ -242,12 +241,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
 
         // SARGs. Cache-side pushdown (Alg. 3) plus plain raw-column SARGs.
         let (raw_sarg, cache_sarg) = if self.enable_pushdown {
-            extract_sargs(
-                ctx.predicate,
-                ctx.table_schema,
-                cache_table.schema(),
-                &resolved,
-            )
+            extract_sargs(ctx.predicate, raw_schema, cache_table.schema(), &resolved)
         } else {
             (None, None)
         };
@@ -265,16 +259,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         self.metrics
             .counter("maxson_scan_rewrites_total", &[("decision", decision)])
             .inc();
-        let raw = if cache_only {
-            None
-        } else {
-            Some(
-                self.catalog
-                    .table(ctx.database, ctx.table)
-                    .map_err(EngineError::Storage)?
-                    .clone(),
-            )
-        };
+        let raw = (!cache_only).then(|| ctx.raw_table.clone());
         let mut provider = CombinedScanProvider::new(
             raw,
             raw_projection,
@@ -588,22 +573,14 @@ mod tests {
             .touch(200)
             .unwrap();
         let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-        // Plan-time check happens inside rewrite_scan: run a plan through a
-        // fresh session holding the rewriter.
-        let mut s2 = Session::open(&root).unwrap();
-        // Keep a second probe handle open on the same state via the session
-        // metrics; the invalidated list is observable pre-installation.
-        let ctx_schema = Schema::new(vec![
-            Field::new("id", ColumnType::Int64),
-            Field::new("payload", ColumnType::Utf8),
-        ])
-        .unwrap();
+        // The invalidated list is observable before installation.
+        let raw = session.catalog().table("db", "t").unwrap().clone();
         let calls = vec![("payload".to_string(), "$.a".to_string())];
         let raw_cols: Vec<String> = vec![];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
-            table_schema: &ctx_schema,
+            raw_table: &raw,
             raw_columns: &raw_cols,
             json_calls: &calls,
             predicate: None,
@@ -612,19 +589,14 @@ mod tests {
         assert!(rewrite.is_none(), "stale cache must not rewrite");
         assert_eq!(rewriter.invalidated(), vec![loc("$.a")]);
         assert_eq!(rewriter.stats().invalidated, 1);
-        let _ = &mut s2;
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
-        let (_, root) = setup("mixed");
+        let (session, root) = setup("mixed");
         let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-        let ctx_schema = Schema::new(vec![
-            Field::new("id", ColumnType::Int64),
-            Field::new("payload", ColumnType::Utf8),
-        ])
-        .unwrap();
+        let raw = session.catalog().table("db", "t").unwrap().clone();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
             ("payload".to_string(), "$.b".to_string()),
@@ -633,7 +605,7 @@ mod tests {
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
-            table_schema: &ctx_schema,
+            raw_table: &raw,
             raw_columns: &raw_cols,
             json_calls: &calls,
             predicate: None,
@@ -663,14 +635,14 @@ mod tests {
 
     #[test]
     fn no_json_calls_keeps_default_scan() {
-        let (_, root) = setup("nocalls");
+        let (session, root) = setup("nocalls");
         let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-        let ctx_schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
+        let raw = session.catalog().table("db", "t").unwrap().clone();
         let raw_cols = vec!["id".to_string()];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
-            table_schema: &ctx_schema,
+            raw_table: &raw,
             raw_columns: &raw_cols,
             json_calls: &[],
             predicate: None,

@@ -38,13 +38,16 @@ pub struct Catalog {
     root: PathBuf,
     tables: BTreeMap<(String, String), Table>,
     /// Shared footer/index cache, attached to every table in the catalog.
+    /// It charges each open part file the heap it owns (decoded footer,
+    /// plus the body only when copied), so mapped tables stay resident;
+    /// dropping a table forgets its entries.
     meta_cache: Arc<NorcMetaCache>,
 }
 
 impl Catalog {
     /// Open (or initialize) a catalog rooted at `root`, loading any tables
-    /// already present on disk. A fresh metadata cache (budget from
-    /// `MAXSON_META_CACHE_BYTES`) is created for it.
+    /// already present on disk. A fresh metadata cache (heap-byte budget
+    /// from `MAXSON_META_CACHE_BYTES`) is created for it.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         Catalog::open_with_cache(root, Arc::new(NorcMetaCache::from_env()))
     }
@@ -138,7 +141,8 @@ impl Catalog {
             .contains_key(&(database.to_string(), table.to_string()))
     }
 
-    /// Drop a table and delete its directory.
+    /// Drop a table, delete its directory and forget its part files in the
+    /// shared footer cache.
     pub fn drop_table(&mut self, database: &str, table: &str) -> Result<()> {
         let t = self
             .tables
@@ -206,6 +210,40 @@ mod tests {
         cat.drop_table("mydb", "t").unwrap();
         assert!(!cat.has_table("mydb", "t"));
         assert!(cat.drop_table("mydb", "t").is_err());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn drop_forgets_footer_cache_entries() {
+        let root = temp_root("drop-forget");
+        let mut cat = Catalog::open(&root).unwrap();
+        for name in ["t", "keep"] {
+            let t = cat.create_table("mydb", name, schema(), 1).unwrap();
+            t.append_file(&[vec![Cell::Int(1)]], WriteOptions::default(), 2)
+                .unwrap();
+            t.append_file(&[vec![Cell::Int(2)]], WriteOptions::default(), 2)
+                .unwrap();
+        }
+        for name in ["t", "keep"] {
+            assert_eq!(cat.table("mydb", name).unwrap().num_rows().unwrap(), 2);
+        }
+        let cache = Arc::clone(cat.meta_cache());
+        assert_eq!(cache.stats().resident_files, 4);
+
+        cat.drop_table("mydb", "t").unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.resident_files, 2, "dropped table's entries forgotten");
+        assert_eq!(stats.invalidations, 2);
+
+        // A table recreated at the same path misses and reads its own rows.
+        let t = cat.create_table("mydb", "t", schema(), 3).unwrap();
+        t.append_file(&[vec![Cell::Int(7)]], WriteOptions::default(), 4)
+            .unwrap();
+        let misses = cache.stats().misses;
+        let (file, hit) = t.open_split_cached(0).unwrap();
+        assert!(!hit, "recreated table misses");
+        assert_eq!(file.read_all_rows().unwrap(), vec![vec![Cell::Int(7)]]);
+        assert_eq!(cache.stats().misses, misses + 1);
         fs::remove_dir_all(&root).ok();
     }
 

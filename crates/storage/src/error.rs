@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::io;
+use std::path::{Path, PathBuf};
 
 /// Result alias used throughout `maxson-storage`.
 pub type Result<T> = std::result::Result<T, StorageError>;
@@ -11,6 +12,13 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 pub enum StorageError {
     /// Underlying filesystem error.
     Io(io::Error),
+    /// A filesystem operation on a known file or directory failed.
+    FileIo {
+        /// The file or directory operated on.
+        path: PathBuf,
+        /// The OS error.
+        source: io::Error,
+    },
     /// A file failed structural validation (bad magic, truncated section,
     /// checksum mismatch, ...).
     Corrupt {
@@ -47,6 +55,9 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
+            StorageError::FileIo { path, source } => {
+                write!(f, "I/O error on {}: {source}", path.display())
+            }
             StorageError::Corrupt { context } => write!(f, "corrupt data: {context}"),
             StorageError::TypeMismatch {
                 column,
@@ -68,7 +79,7 @@ impl fmt::Display for StorageError {
 impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StorageError::Io(e) => Some(e),
+            StorageError::Io(e) | StorageError::FileIo { source: e, .. } => Some(e),
             _ => None,
         }
     }
@@ -81,6 +92,14 @@ impl From<io::Error> for StorageError {
 }
 
 impl StorageError {
+    /// An I/O error that names the `path` it happened on.
+    pub fn io_at(path: impl AsRef<Path>, source: io::Error) -> Self {
+        StorageError::FileIo {
+            path: path.as_ref().to_path_buf(),
+            source,
+        }
+    }
+
     /// Convenience constructor for corruption errors.
     pub fn corrupt(context: impl Into<String>) -> Self {
         StorageError::Corrupt {
@@ -107,6 +126,17 @@ mod tests {
     fn io_errors_convert() {
         let e: StorageError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(matches!(e, StorageError::Io(_)));
+        assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn file_io_errors_name_the_path() {
+        let e = StorageError::io_at(
+            "/warehouse/db/t/part-00003.norc",
+            io::Error::new(io::ErrorKind::NotFound, "gone"),
+        );
+        assert!(e.to_string().contains("part-00003.norc"));
+        assert!(format!("{e:?}").contains("part-00003.norc"));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -100,6 +100,17 @@ pub enum ColumnStats {
 }
 
 impl ColumnStats {
+    /// Bytes this entry occupies, its string bounds included.
+    fn heap_bytes(&self) -> usize {
+        let strings = match self {
+            ColumnStats::Utf8 { min, max, .. } => {
+                min.as_ref().map_or(0, String::capacity) + max.as_ref().map_or(0, String::capacity)
+            }
+            _ => 0,
+        };
+        std::mem::size_of::<Self>() + strings
+    }
+
     fn new(ty: ColumnType) -> Self {
         match ty {
             ColumnType::Int64 => ColumnStats::Int {
@@ -493,7 +504,7 @@ impl NorcWriter {
         out.extend_from_slice(&footer_len.to_le_bytes());
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
-        fs::write(&self.path, &out)?;
+        fs::write(&self.path, &out).map_err(|e| StorageError::io_at(&self.path, e))?;
         Ok(NorcFile {
             path: self.path,
             schema: self.schema,
@@ -501,6 +512,11 @@ impl NorcWriter {
             data: FileBytes::Owned(out),
         })
     }
+}
+
+/// Copy a whole part file, naming it in the error.
+fn read(path: &Path) -> Result<Vec<u8>> {
+    fs::read(path).map_err(|e| StorageError::io_at(path, e))
 }
 
 /// How [`NorcFile::open`] acquires the file body.
@@ -569,11 +585,14 @@ impl NorcFile {
         let path = path.as_ref().to_path_buf();
         let data = match mode {
             #[cfg(unix)]
-            MmapMode::Enabled => match crate::mmap::Mmap::map(&fs::File::open(&path)?) {
-                Ok(map) => FileBytes::Mapped(std::sync::Arc::new(map)),
-                Err(_) => FileBytes::Owned(fs::read(&path)?),
-            },
-            _ => FileBytes::Owned(fs::read(&path)?),
+            MmapMode::Enabled => {
+                let file = fs::File::open(&path).map_err(|e| StorageError::io_at(&path, e))?;
+                match crate::mmap::Mmap::map(&file) {
+                    Ok(map) => FileBytes::Mapped(std::sync::Arc::new(map)),
+                    Err(_) => FileBytes::Owned(read(&path)?),
+                }
+            }
+            _ => FileBytes::Owned(read(&path)?),
         };
         Self::parse(path, data)
     }
@@ -685,6 +704,39 @@ impl NorcFile {
     /// Size on disk in bytes.
     pub fn byte_size(&self) -> usize {
         self.data.as_slice().len()
+    }
+
+    /// Heap bytes this open file owns: the decoded footer (schema, stripe
+    /// directory, chunk offsets, statistics) plus the body when it was
+    /// copied. A mapped body adds nothing: its pages belong to the kernel
+    /// page cache, are backed by the file and can be reclaimed. This is
+    /// what [`crate::metacache::NorcMetaCache`] charges an entry.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let schema: usize = self
+            .schema
+            .fields()
+            .iter()
+            .map(|f| size_of::<crate::schema::Field>() + f.name.capacity())
+            .sum();
+        let row_groups: usize = self
+            .row_groups()
+            .map(|rg| {
+                size_of::<RowGroupStats>()
+                    + rg.chunks.capacity() * size_of::<(u64, u64)>()
+                    + rg.columns
+                        .iter()
+                        .map(ColumnStats::heap_bytes)
+                        .sum::<usize>()
+            })
+            .sum();
+        let stripes = self.stripes.len() * size_of::<StripeInfo>() + row_groups;
+        let body = match &self.data {
+            FileBytes::Owned(v) => v.capacity(),
+            #[cfg(unix)]
+            FileBytes::Mapped(_) => 0,
+        };
+        size_of::<Self>() + self.path.as_os_str().len() + schema + stripes + body
     }
 
     /// `true` when the body is a shared memory mapping rather than an

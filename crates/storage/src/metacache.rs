@@ -1,19 +1,27 @@
 //! Process-wide cache of opened Norc files (decoded footer, stripe/row-group
-//! index, and file bytes), shared by every session over one warehouse.
+//! index, and the file body), shared by every session over one warehouse.
 //!
-//! Opening a Norc file reads the whole part file, verifies its checksum, and
-//! decodes the footer — work that is identical on every query touching the
-//! split. The Presto metadata-caching study (PAPERS.md) reports most scan
-//! latency going to exactly this repeated footer/index re-read, and the
-//! warehouse is append-only (part files are never rewritten), so the decoded
-//! form can be reused safely across queries and sessions.
+//! A cold open maps the part file (or copies it, with `MAXSON_MMAP=0`),
+//! verifies the whole-file checksum and decodes the footer — work that is
+//! identical on every query touching the split. The Presto metadata-caching
+//! study (PAPERS.md) reports most scan latency going to exactly this repeated
+//! footer/index re-read, and the warehouse is append-only (part files are
+//! never rewritten), so the opened file can be reused safely across queries
+//! and sessions.
 //!
 //! Entries are keyed by part-file path and validated against the file's
 //! `(length, mtime)` before every hit, so a replaced or appended-over file is
-//! re-read rather than served stale. The cache is bounded by a byte budget
-//! (`MAXSON_META_CACHE_BYTES`, default 256 MiB) with least-recently-used
-//! eviction; hit/miss/invalidation/eviction counts are exposed for the server
-//! stats endpoint and the stress-test invariant checker.
+//! re-read rather than served stale. The cache is bounded by a budget of
+//! heap bytes (`MAXSON_META_CACHE_BYTES`, default 256 MiB) with
+//! least-recently-used eviction. An entry is charged what it owns on the
+//! heap ([`NorcFile::heap_bytes`]): its decoded footer, plus the body when
+//! the body was copied. A mapped body costs no budget — its pages belong to
+//! the kernel page cache and can be reclaimed — so a warehouse far larger
+//! than the budget stays resident and a steady-state query opens nothing.
+//! Dropping a table forgets its entries ([`NorcMetaCache::forget_dir`]), so
+//! a dropped table's mappings do not outlive it. Hit/miss/invalidation/
+//! eviction counts are exposed for the server stats endpoint and the
+//! stress-test invariant checker.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -21,10 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-use crate::error::Result;
-use crate::file::NorcFile;
+use crate::error::{Result, StorageError};
+use crate::file::{MmapMode, NorcFile};
 
-/// Default byte budget when `MAXSON_META_CACHE_BYTES` is unset.
+/// Default heap-byte budget when `MAXSON_META_CACHE_BYTES` is unset.
 pub const DEFAULT_META_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Counter snapshot for telemetry and test invariants.
@@ -34,11 +42,13 @@ pub struct MetaCacheStats {
     pub hits: u64,
     /// Opens that had to read the file (absent or invalidated).
     pub misses: u64,
-    /// Entries dropped because the on-disk file changed shape.
+    /// Entries dropped because the on-disk file changed shape or its table
+    /// was dropped.
     pub invalidations: u64,
     /// Entries dropped to stay under the byte budget.
     pub evictions: u64,
-    /// Bytes currently resident.
+    /// Heap bytes the resident entries own: decoded footers plus copied
+    /// bodies (mapped bodies are not counted).
     pub resident_bytes: u64,
     /// Files currently resident.
     pub resident_files: u64,
@@ -46,6 +56,8 @@ pub struct MetaCacheStats {
 
 struct CacheEntry {
     file: Arc<NorcFile>,
+    /// What the entry is charged against the budget.
+    charge: u64,
     len: u64,
     mtime: Option<SystemTime>,
     last_used: u64,
@@ -62,6 +74,9 @@ struct CacheState {
 /// [`Arc`]; every [`crate::Catalog`] owns one and attaches it to its tables.
 pub struct NorcMetaCache {
     budget_bytes: u64,
+    /// How cold opens acquire the body; `None` follows `MAXSON_MMAP` at
+    /// each open.
+    mmap: Option<MmapMode>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -83,11 +98,13 @@ impl std::fmt::Debug for NorcMetaCache {
 }
 
 impl NorcMetaCache {
-    /// A cache bounded to `budget_bytes` (0 disables residency: every open
-    /// misses, which keeps the type usable as an "off" switch in tests).
+    /// A cache bounded to `budget_bytes` heap bytes (0 disables residency:
+    /// every open misses, which keeps the type usable as an "off" switch in
+    /// tests).
     pub fn new(budget_bytes: u64) -> Self {
         NorcMetaCache {
             budget_bytes,
+            mmap: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -105,7 +122,7 @@ impl NorcMetaCache {
         NorcMetaCache::new(budget)
     }
 
-    /// The configured byte budget.
+    /// The configured heap-byte budget.
     pub fn budget_bytes(&self) -> u64 {
         self.budget_bytes
     }
@@ -114,7 +131,7 @@ impl NorcMetaCache {
     /// `(length, mtime)` still matches the cached entry. Returns the file
     /// plus whether this open was a cache hit.
     pub fn open(&self, path: &Path) -> Result<(Arc<NorcFile>, bool)> {
-        let meta = std::fs::metadata(path)?;
+        let meta = std::fs::metadata(path).map_err(|e| StorageError::io_at(path, e))?;
         let len = meta.len();
         let mtime = meta.modified().ok();
         {
@@ -133,7 +150,7 @@ impl NorcMetaCache {
                     // Shape changed on disk: drop the stale entry and fall
                     // through to a full (checksum-verifying) re-read.
                     let stale = state.entries.remove(path).unwrap();
-                    state.resident_bytes -= stale.file.byte_size() as u64;
+                    state.resident_bytes -= stale.charge;
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {}
@@ -142,18 +159,19 @@ impl NorcMetaCache {
         // Read outside the lock so concurrent misses on different files
         // don't serialize on each other's disk reads.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let file = Arc::new(NorcFile::open(path)?);
-        let size = file.byte_size() as u64;
-        if size <= self.budget_bytes {
+        let mode = self.mmap.unwrap_or_else(MmapMode::from_env);
+        let file = Arc::new(NorcFile::open_with(path, mode)?);
+        let charge = file.heap_bytes() as u64;
+        if charge <= self.budget_bytes {
             let mut state = self.state.lock().unwrap();
             state.tick += 1;
             let tick = state.tick;
             // A concurrent miss may have inserted meanwhile; replacing is
             // harmless (both reads decoded the same bytes).
             if let Some(prev) = state.entries.remove(path) {
-                state.resident_bytes -= prev.file.byte_size() as u64;
+                state.resident_bytes -= prev.charge;
             }
-            while state.resident_bytes + size > self.budget_bytes {
+            while state.resident_bytes + charge > self.budget_bytes {
                 let Some(victim) = state
                     .entries
                     .iter()
@@ -163,14 +181,15 @@ impl NorcMetaCache {
                     break;
                 };
                 let evicted = state.entries.remove(&victim).unwrap();
-                state.resident_bytes -= evicted.file.byte_size() as u64;
+                state.resident_bytes -= evicted.charge;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            state.resident_bytes += size;
+            state.resident_bytes += charge;
             state.entries.insert(
                 path.to_path_buf(),
                 CacheEntry {
                     file: Arc::clone(&file),
+                    charge,
                     len,
                     mtime,
                     last_used: tick,
@@ -178,6 +197,25 @@ impl NorcMetaCache {
             );
         }
         Ok((file, false))
+    }
+
+    /// Forget every entry for a file under `dir` (a dropped table's
+    /// directory), counting each as an invalidation. Queries already holding
+    /// one of its files keep their `Arc`.
+    pub fn forget_dir(&self, dir: &Path) {
+        let mut state = self.state.lock().unwrap();
+        let before = state.entries.len();
+        let mut freed = 0;
+        state.entries.retain(|path, entry| {
+            let keep = !path.starts_with(dir);
+            if !keep {
+                freed += entry.charge;
+            }
+            keep
+        });
+        state.resident_bytes -= freed;
+        let forgotten = (before - state.entries.len()) as u64;
+        self.invalidations.fetch_add(forgotten, Ordering::Relaxed);
     }
 
     /// Drop every resident entry (counters are kept).
@@ -275,7 +313,7 @@ mod tests {
         let a = write_part(&dir, "a.norc", 50);
         let b = write_part(&dir, "b.norc", 50);
         let c = write_part(&dir, "c.norc", 50);
-        let one = NorcFile::open(&a).unwrap().byte_size() as u64;
+        let one = NorcFile::open(&a).unwrap().heap_bytes() as u64;
         // Room for roughly two files.
         let cache = NorcMetaCache::new(one * 2 + one / 2);
         cache.open(&a).unwrap();
@@ -287,6 +325,106 @@ mod tests {
         assert_eq!(stats.resident_files, 2);
         assert!(cache.open(&a).unwrap().1, "a survived");
         assert!(!cache.open(&b).unwrap().1, "b was evicted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache whose cold opens use `mode` whatever `MAXSON_MMAP` says.
+    fn pinned(budget_bytes: u64, mode: MmapMode) -> NorcMetaCache {
+        NorcMetaCache {
+            mmap: Some(mode),
+            ..NorcMetaCache::new(budget_bytes)
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn mapped_file_larger_than_budget_stays_resident() {
+        let dir = temp_dir("mapped");
+        let path = write_part(&dir, "a.norc", 5_000);
+        let file = NorcFile::open_with(&path, MmapMode::Enabled).unwrap();
+        assert!(file.is_mapped());
+        let footer = file.heap_bytes() as u64;
+        let budget = file.byte_size() as u64 / 4;
+        assert!(
+            footer <= budget,
+            "footer {footer} B fits a quarter-file budget"
+        );
+        let cache = pinned(budget, MmapMode::Enabled);
+        assert!(!cache.open(&path).unwrap().1);
+        assert!(cache.open(&path).unwrap().1, "mapped file stays resident");
+        let stats = cache.stats();
+        assert_eq!((stats.resident_files, stats.evictions), (1, 0));
+        assert_eq!(stats.resident_bytes, footer, "charged its footer only");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn copied_bodies_are_charged_and_evicted() {
+        let dir = temp_dir("copied");
+        let a = write_part(&dir, "a.norc", 5_000);
+        let b = write_part(&dir, "b.norc", 5_000);
+        let copied = NorcFile::open_with(&a, MmapMode::Disabled).unwrap();
+        let one = copied.heap_bytes() as u64;
+        assert!(one >= copied.byte_size() as u64, "charge covers the body");
+        // Room for one copied file, not two.
+        let cache = pinned(one + one / 2, MmapMode::Disabled);
+        cache.open(&a).unwrap();
+        cache.open(&b).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.resident_files, stats.evictions), (1, 1));
+        assert_eq!(stats.resident_bytes, one);
+        assert!(!cache.open(&a).unwrap().1, "a was evicted for b");
+        // A body larger than the whole budget is never admitted.
+        let small = pinned(one / 2, MmapMode::Disabled);
+        small.open(&a).unwrap();
+        assert!(!small.open(&a).unwrap().1);
+        assert_eq!(small.stats().resident_files, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn working_set_larger_than_budget_hits_on_second_pass() {
+        let dir = temp_dir("working-set");
+        let paths: Vec<PathBuf> = (0..6)
+            .map(|i| write_part(&dir, &format!("part-{i}.norc"), 2_000))
+            .collect();
+        let on_disk: u64 = paths
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        let cache = pinned(on_disk / 3, MmapMode::Enabled);
+        for p in &paths {
+            assert!(!cache.open(p).unwrap().1);
+        }
+        for p in &paths {
+            assert!(cache.open(p).unwrap().1, "{} missed", p.display());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (6, 6, 0));
+        assert!(stats.resident_bytes <= cache.budget_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn forget_dir_drops_only_that_directory() {
+        let dir = temp_dir("forget");
+        let t1 = dir.join("t1");
+        let t2 = dir.join("t2");
+        std::fs::create_dir_all(&t1).unwrap();
+        std::fs::create_dir_all(&t2).unwrap();
+        let a = write_part(&t1, "part-00000.norc", 10);
+        let b = write_part(&t2, "part-00000.norc", 10);
+        let cache = NorcMetaCache::new(u64::MAX);
+        cache.open(&a).unwrap();
+        cache.open(&b).unwrap();
+        let keep = cache.stats().resident_bytes - NorcFile::open(&a).unwrap().heap_bytes() as u64;
+        cache.forget_dir(&t1);
+        let stats = cache.stats();
+        assert_eq!((stats.resident_files, stats.invalidations), (1, 1));
+        assert_eq!(stats.resident_bytes, keep);
+        assert!(!cache.open(&a).unwrap().1, "forgotten entry misses");
+        assert!(cache.open(&b).unwrap().1, "sibling table still hits");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -47,7 +47,7 @@ impl Table {
                 detail: format!("table directory {} already exists", dir.display()),
             });
         }
-        fs::create_dir_all(&dir)?;
+        fs::create_dir_all(&dir).map_err(|e| StorageError::io_at(&dir, e))?;
         let table = Table {
             dir,
             schema,
@@ -146,8 +146,8 @@ impl Table {
                 ),
             ),
         ]);
-        fs::write(self.dir.join(META_FILE), to_string_pretty(&doc))?;
-        Ok(())
+        let path = self.dir.join(META_FILE);
+        fs::write(&path, to_string_pretty(&doc)).map_err(|e| StorageError::io_at(&path, e))
     }
 
     /// The table schema.
@@ -240,15 +240,24 @@ impl Table {
     pub fn byte_size(&self) -> Result<u64> {
         let mut total = 0;
         for name in &self.files {
-            total += fs::metadata(self.dir.join(name))?.len();
+            let path = self.dir.join(name);
+            total += fs::metadata(&path)
+                .map_err(|e| StorageError::io_at(&path, e))?
+                .len();
         }
         Ok(total)
     }
 
-    /// Delete the table directory entirely.
+    /// Delete the table directory entirely and forget its part files in
+    /// the shared footer cache, so their mappings do not outlive the table.
     pub fn drop_table(self) -> Result<()> {
-        fs::remove_dir_all(&self.dir)?;
-        Ok(())
+        let removed = fs::remove_dir_all(&self.dir);
+        // After the removal: an open racing the drop then fails on the
+        // missing file instead of re-inserting an entry.
+        if let Some(cache) = &self.meta_cache {
+            cache.forget_dir(&self.dir);
+        }
+        removed.map_err(|e| StorageError::io_at(&self.dir, e))
     }
 }
 

@@ -164,7 +164,7 @@ fn lru_baseline_matches_maxson_results() {
         .map(|q| plain.execute(&q.sql).expect("plain").rows)
         .collect();
     let mut session = Session::open(&root).unwrap();
-    let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+    let lru = OnlineLruRewriter::new(u64::MAX);
     session.set_scan_rewriter(Some(Box::new(lru)));
     for round in 0..2 {
         for (q, expected) in queries.iter().take(3).zip(&reference) {
@@ -323,9 +323,7 @@ fn mid_day_append_invalidates_until_next_cycle() {
             200,
         )
         .unwrap();
-    // A fresh rewriter (planning reads metadata) must refuse the stale cache.
-    let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-    session.set_scan_rewriter(Some(Box::new(rewriter)));
+    // The installed rewriter sees the append and refuses the stale cache.
     let stale_run = session.execute(&q.sql).unwrap();
     assert!(
         stale_run.metrics.parse_calls > 0,
@@ -338,5 +336,56 @@ fn mid_day_append_invalidates_until_next_cycle() {
         .unwrap();
     let fresh_run = session.execute(&q.sql).unwrap();
     assert_eq!(fresh_run.metrics.parse_calls, 0);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Appends through `Session::catalog_mut` while the cycle's rewriter stays
+/// installed: every query over the grown tables must equal a fresh no-cache
+/// session's answer, whether it reads the cache only, stitches raw columns
+/// to it, or falls back to parsing.
+#[test]
+fn catalog_mut_append_under_installed_rewriter_matches_reference() {
+    let (root, queries) = workload_root("append-installed");
+    let mut session = Session::open(&root).unwrap();
+    let history = history_for(&queries, 10);
+    let mut pipeline = MaxsonPipeline::new(
+        &root,
+        PipelineConfig {
+            predictor: PredictorKind::RepeatYesterday,
+            ..Default::default()
+        },
+    );
+    pipeline.observe(history.iter());
+    pipeline
+        .run_midnight_cycle(&mut session, &history, 8, 100)
+        .unwrap();
+    for q in &queries {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.table_mut(&q.database, &q.table).unwrap();
+        // A new day of the table's own documents under fresh ids.
+        let mut rows = table.open_split(0).unwrap().read_all_rows().unwrap();
+        rows.truncate(20);
+        for (i, row) in rows.iter_mut().enumerate() {
+            row[0] = Cell::Int(10_000 + i as i64);
+        }
+        table
+            .append_file(&rows, maxson_storage::file::WriteOptions::default(), 200)
+            .unwrap();
+    }
+    let reference = Session::open(&root).unwrap();
+    for q in &queries {
+        let expected = reference.execute(&q.sql).unwrap().rows;
+        let served = session.execute(&q.sql).unwrap();
+        assert_eq!(
+            served.rows, expected,
+            "{} served the pre-append cache",
+            q.name
+        );
+        assert!(
+            served.metrics.parse_calls > 0,
+            "{} used a stale cache",
+            q.name
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig};
@@ -110,11 +110,14 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
     let addr = server.addr();
 
     // Clients loop until told to stop, then take two guaranteed
-    // post-cycle samples each.
+    // post-cycle samples each. The cycle starts only once every client has
+    // a pre-cycle result, so both sides of the swap are always observed.
     let cycle_done = Arc::new(AtomicBool::new(false));
+    let first_results = Arc::new(Barrier::new(CLIENTS + 1));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let cycle_done = cycle_done.clone();
+            let first_results = first_results.clone();
             std::thread::spawn(move || -> Vec<Observation> {
                 let mut client = Client::connect(addr).expect("connect");
                 let mut seen = Vec::new();
@@ -129,6 +132,9 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
                         parse_calls: result.metrics.parse_calls,
                         display: result.to_display_string(),
                     });
+                    if seen.len() == 1 {
+                        first_results.wait();
+                    }
                 }
                 seen
             })
@@ -137,6 +143,7 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
 
     // Run the midnight cycle on the admin clone while queries are in
     // flight: builds the cache tables off to the side, then swaps them in.
+    first_results.wait();
     let mut pipeline = MaxsonPipeline::new(
         &root,
         PipelineConfig {
