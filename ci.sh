@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 cargo fmt --check
 cargo build --release --offline
 
+# Rustdoc must build warning-free, so no intra-doc link can dangle (e.g. a
+# link to a trait method that no longer exists).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 # The whole suite runs twice: once on the serial reference path and once
 # split-parallel, so every test doubles as a differential check. Note the
 # root Cargo.toml is both a workspace and a package, so bare `cargo test`

@@ -10,7 +10,7 @@ use maxson::combiner::CombinedScanProvider;
 use maxson::JoinStitchProvider;
 use maxson_bench::{Report, Series};
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{scan_rows, ScanProvider};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, CmpOp, ColumnType, Field, Schema, SearchArgument, Table};
 
@@ -60,7 +60,7 @@ fn time_scan(provider: &dyn ScanProvider, reps: usize) -> (f64, usize) {
     let start = std::time::Instant::now();
     for _ in 0..reps {
         let mut m = ExecMetrics::default();
-        rows = provider.scan(&mut m).expect("scan").len();
+        rows = scan_rows(provider, &mut m).expect("scan").len();
     }
     (start.elapsed().as_secs_f64() / reps as f64, rows)
 }

@@ -1,18 +1,31 @@
-//! Volcano-style (materialized) plan execution, with optional
-//! split-parallel scan pipelines.
+//! Plan execution: one segment row loop for scan, filter, project and
+//! aggregate, plus volcano-style (materialized) join, sort, limit and
+//! distinct.
+//!
+//! ## Segments
+//!
+//! Filter, Project and Aggregate all run through one segment
+//! (`PipelineSegment`): a per-row loop that applies an optional filter and
+//! then feeds either the output rows (optionally projected) or an
+//! aggregate partial. Above a
+//! scan — `Scan`, `Filter(Scan)`, `Project([Filter](Scan))`,
+//! `Aggregate([Filter](Scan))` — the segment covers the scan and its
+//! stages together, so one row's JSON parse is shared by the filter *and*
+//! the projection or aggregation, and columnar batches materialize cells
+//! late. Over any other input (a join, or the aggregate under a HAVING
+//! filter or post-aggregate projection) each operator is a one-stage
+//! segment over the input's materialized rows, which arrive as a single
+//! row-major batch.
 //!
 //! ## Parallel execution model
 //!
-//! The executor recognizes *scan pipeline segments* — `Scan`,
-//! `Filter(Scan)`, `Project([Filter](Scan))`, and
-//! `Aggregate([Filter](Scan))` — and, when the scan provider exposes more
-//! than one split and [`ExecOptions::threads`] allows it, fans the segment
-//! out one task per split on a scoped-thread pool
-//! ([`crate::pool::run_split_tasks`]). Each task runs
-//! scan→filter→project (or scan→filter→partial-aggregate) against its own
-//! [`ExecMetrics`]; the barrier absorbs task metrics and reassembles rows
-//! (or merges aggregate partials) **in split order**, which makes the
-//! output byte-identical to the serial path:
+//! When a scan segment's provider exposes more than one split and
+//! [`ExecOptions::threads`] allows it, the segment fans out one task per
+//! split on a scoped-thread pool ([`crate::pool::run_split_tasks`]). Each
+//! task runs scan→filter→project (or scan→filter→partial-aggregate)
+//! against its own [`ExecMetrics`]; the barrier absorbs task metrics and
+//! reassembles rows (or merges aggregate partials) **in split order**,
+//! which makes the output byte-identical to the serial path:
 //!
 //! * row pipelines: the serial scan visits splits in index order, so
 //!   concatenating per-split outputs in index order reproduces the exact
@@ -27,15 +40,15 @@
 //!   merged first.
 //!
 //! Plans that are not segment-shaped (joins, sorts, HAVING chains, …) run
-//! serially at the top but still parallelize any segment found deeper in
-//! their inputs.
+//! serially at the top but still parallelize any scan segment found deeper
+//! in their inputs.
 
 use std::collections::HashMap;
 
 use maxson_obs::{SpanGuard, SpanId, Tracer};
-use maxson_storage::{Cell, CellKey, RowKey, RowKeySlice};
+use maxson_storage::{Cell, CellKey, ColumnData, RowKey, RowKeySlice, Schema};
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::expr::{truthy, Expr, JsonParserKind};
 use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
@@ -164,41 +177,31 @@ pub fn execute_plan_traced(
     tracer: &Tracer,
     parent: Option<SpanId>,
 ) -> Result<Vec<Vec<Cell>>> {
-    // Segment-shaped plans run through the unified scan pipeline at every
-    // thread count: it is what lets one row's parse be shared across the
-    // filter *and* the projection/aggregation above it.
-    if let Some(rows) = run_pipeline(plan, parser, metrics, opts, tracer, parent)? {
-        return Ok(rows);
-    }
     match plan {
         LogicalPlan::Scan { provider } => {
-            let span = tracer.child("scan", parent);
-            span.attr("label", provider.label());
-            let before = counters_before(tracer, metrics);
-            let rows = provider.scan(metrics)?;
-            span.attr("rows_out", rows.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(rows)
+            let source = Source::Scan(provider.as_ref());
+            run_segment(
+                source, None, None, None, parser, metrics, opts, tracer, parent,
+            )
         }
         LogicalPlan::Filter { input, predicate } => {
-            let span = tracer.child("filter", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = filter_rows(rows, predicate, parser, metrics, opts.shared_parse)?;
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
+            // Only a bare scan fuses with a filter; anything else (a join,
+            // an aggregate under HAVING) is materialized first.
+            let source = match input.as_ref() {
+                LogicalPlan::Scan { provider } => Source::Scan(provider.as_ref()),
+                _ => Source::Rows("filter", input),
+            };
+            let filter = Some(predicate);
+            run_segment(
+                source, filter, None, None, parser, metrics, opts, tracer, parent,
+            )
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            let span = tracer.child("project", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = project_exprs(rows, exprs, parser, metrics, opts.shared_parse)?;
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
+            let (source, filter) = Source::fused(input, "project");
+            let project = Some(exprs.as_slice());
+            run_segment(
+                source, filter, project, None, parser, metrics, opts, tracer, parent,
+            )
         }
         LogicalPlan::Aggregate {
             input,
@@ -206,14 +209,11 @@ pub fn execute_plan_traced(
             aggs,
             ..
         } => {
-            let span = tracer.child("hash_agg", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = aggregate(rows, group_by, aggs, parser, metrics, opts.shared_parse)?;
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
+            let (source, filter) = Source::fused(input, "hash_agg");
+            let agg = Some((group_by.as_slice(), aggs.as_slice()));
+            run_segment(
+                source, filter, None, agg, parser, metrics, opts, tracer, parent,
+            )
         }
         LogicalPlan::Join {
             left,
@@ -335,44 +335,6 @@ fn attr_counter_deltas(span: &SpanGuard<'_>, before: Option<&ExecMetrics>, after
     }
 }
 
-fn filter_rows(
-    rows: Vec<Vec<Cell>>,
-    predicate: &Expr,
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, [predicate]);
-    let mut out = Vec::new();
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        if truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-fn project_exprs(
-    rows: Vec<Vec<Cell>>,
-    exprs: &[(Expr, String)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, exprs.iter().map(|(e, _)| e));
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        let mut projected = Vec::with_capacity(exprs.len());
-        for (e, _) in exprs {
-            projected.push(e.eval_with(&row, parser, metrics, slots.as_ref())?);
-        }
-        out.push(projected);
-    }
-    Ok(out)
-}
-
 /// Build a shared-parse extractor over `exprs` when the toggle is on (and
 /// the expressions contain any JSON path at all).
 fn shared_extractor<'a>(
@@ -387,303 +349,285 @@ fn shared_extractor<'a>(
 }
 
 // ----------------------------------------------------------------------
-// Split-parallel scan pipeline
+// Segments: the one row loop behind scan, filter, project and aggregate
 // ----------------------------------------------------------------------
 
-/// A parallelizable plan prefix: scan, optional filter, then either a
-/// projection or an aggregation (never both — the planner puts the
-/// post-aggregate projection above the Aggregate node, where it stays
-/// serial because it only touches a handful of result rows).
+/// Where a segment's rows come from.
+enum Source<'a> {
+    /// Fused with this scan: split by split, in parallel when allowed.
+    Scan(&'a dyn ScanProvider),
+    /// The materialized rows of a non-scan input, as one row-major batch
+    /// under an operator span with this name.
+    Rows(&'static str, &'a LogicalPlan),
+}
+
+impl<'a> Source<'a> {
+    /// The source of a projection or aggregation over `input`: a bare scan
+    /// or a filter directly over one fuses (the filter joins the segment);
+    /// any other input is materialized under a span named `name`.
+    fn fused(input: &'a LogicalPlan, name: &'static str) -> (Self, Option<&'a Expr>) {
+        match input {
+            LogicalPlan::Scan { provider } => (Source::Scan(provider.as_ref()), None),
+            LogicalPlan::Filter {
+                input: inner,
+                predicate,
+            } => match inner.as_ref() {
+                LogicalPlan::Scan { provider } => {
+                    (Source::Scan(provider.as_ref()), Some(predicate))
+                }
+                _ => (Source::Rows(name, input), None),
+            },
+            _ => (Source::Rows(name, input), None),
+        }
+    }
+}
+
+/// An aggregation stage: group-by keys and `(function, argument)` calls.
+type AggStage<'a> = (&'a [Expr], &'a [(AggFunc, Option<Expr>)]);
+
+/// An optional filter, then either a projection or an aggregation (never
+/// both — the planner puts the post-aggregate projection above the
+/// Aggregate node, where it runs as its own segment over the aggregate's
+/// few result rows).
 struct PipelineSegment<'a> {
-    provider: &'a dyn ScanProvider,
     filter: Option<&'a Expr>,
     project: Option<&'a [(Expr, String)]>,
-    agg: Option<(&'a [Expr], &'a [(AggFunc, Option<Expr>)])>,
+    agg: Option<AggStage<'a>>,
     /// Shared-parse extraction sites across the *whole* segment (filter
     /// plus projection or aggregation), so one row-parse serves every
     /// stage. `None` when the toggle is off or no stage touches JSON.
     /// Read-only, hence safely shared across split tasks.
     extractor: Option<JsonExtractor>,
-    /// Scan-schema columns the filter reads (ascending). For columnar
-    /// batches only these are materialized before the filter runs.
+    /// Input columns the filter reads (ascending). For columnar batches
+    /// only these are materialized before the filter runs.
     filter_cols: Vec<usize>,
-    /// The complement of `filter_cols` over the scan schema (ascending):
+    /// The complement of `filter_cols` over the input schema (ascending):
     /// materialized only for rows the filter keeps.
     rest_cols: Vec<usize>,
 }
 
+/// What a segment's row loop feeds.
+enum SegmentOut {
+    Rows(Vec<Vec<Cell>>),
+    Agg(AggPartial),
+}
+
+impl SegmentOut {
+    /// Rows emitted so far (`None` for an aggregate, whose rows exist only
+    /// once it is finished).
+    fn row_count(&self) -> Option<usize> {
+        match self {
+            SegmentOut::Rows(rows) => Some(rows.len()),
+            SegmentOut::Agg(_) => None,
+        }
+    }
+
+    /// Append a later split's output (rows concatenate, partials merge).
+    fn merge(&mut self, later: SegmentOut) {
+        match (self, later) {
+            (SegmentOut::Rows(rows), SegmentOut::Rows(more)) => rows.extend(more),
+            (SegmentOut::Agg(partial), SegmentOut::Agg(more)) => partial.merge(more),
+            _ => unreachable!("merging mismatched segment outputs"),
+        }
+    }
+
+    fn finish(self) -> Vec<Vec<Cell>> {
+        match self {
+            SegmentOut::Rows(rows) => rows,
+            SegmentOut::Agg(partial) => finish_aggregate(partial),
+        }
+    }
+}
+
+/// One batch's rows as the segment loop sees them. Row-major rows are used
+/// in place; a columnar batch materializes row `i` into one reused scratch
+/// row, only the columns the loop asks for.
+enum BatchRows {
+    Rows(Vec<Vec<Cell>>),
+    Columns {
+        cols: Vec<ColumnData>,
+        scratch: Vec<Cell>,
+    },
+}
+
+impl BatchRows {
+    fn new(data: BatchData) -> Self {
+        match data {
+            BatchData::Rows(rows) => BatchRows::Rows(rows),
+            BatchData::Columns(cols) => BatchRows::Columns {
+                scratch: vec![Cell::Null; cols.len()],
+                cols,
+            },
+        }
+    }
+
+    /// Rows in the batch, selected or not.
+    fn len(&self) -> usize {
+        match self {
+            BatchRows::Rows(rows) => rows.len(),
+            BatchRows::Columns { cols, .. } => cols.first().map_or(0, |c| c.len()),
+        }
+    }
+
+    /// Build `columns` of columnar row `i`, charging `cells_materialized`
+    /// (row-major cells already exist).
+    fn load(&mut self, i: usize, columns: &[usize], metrics: &mut ExecMetrics) {
+        if let BatchRows::Columns { cols, scratch } = self {
+            for &c in columns {
+                scratch[c] = cols[c].get(i);
+            }
+            metrics.cells_materialized += columns.len() as u64;
+        }
+    }
+
+    /// Row `i` (for columnar batches: the scratch row, valid for the
+    /// columns loaded so far).
+    fn row(&self, i: usize) -> &[Cell] {
+        match self {
+            BatchRows::Rows(rows) => &rows[i],
+            BatchRows::Columns { scratch, .. } => scratch,
+        }
+    }
+
+    /// Hand row `i` to the output: moved out of a row-major batch, copied
+    /// out of the scratch row otherwise (cheap: cell clones are refcount
+    /// bumps on shared buffers).
+    fn take(&mut self, i: usize) -> Vec<Cell> {
+        match self {
+            BatchRows::Rows(rows) => std::mem::take(&mut rows[i]),
+            BatchRows::Columns { scratch, .. } => scratch.clone(),
+        }
+    }
+
+    /// The filter rejected a row. A columnar batch counts it as skipped:
+    /// its non-predicate cells were never built.
+    fn reject(&self, metrics: &mut ExecMetrics) {
+        if let BatchRows::Columns { .. } = self {
+            metrics.batch_rows_skipped += 1;
+        }
+    }
+}
+
 impl<'a> PipelineSegment<'a> {
-    fn extract(plan: &'a LogicalPlan, shared_parse: bool) -> Option<Self> {
-        fn base(plan: &LogicalPlan) -> Option<(&dyn ScanProvider, Option<&Expr>)> {
-            match plan {
-                LogicalPlan::Scan { provider } => Some((provider.as_ref(), None)),
-                LogicalPlan::Filter { input, predicate } => match input.as_ref() {
-                    LogicalPlan::Scan { provider } => Some((provider.as_ref(), Some(predicate))),
-                    _ => None,
-                },
-                _ => None,
-            }
+    /// A segment over rows of `input` schema.
+    fn new(
+        filter: Option<&'a Expr>,
+        project: Option<&'a [(Expr, String)]>,
+        agg: Option<AggStage<'a>>,
+        input: &Schema,
+        shared_parse: bool,
+    ) -> Self {
+        let mut exprs: Vec<&Expr> = Vec::new();
+        exprs.extend(filter);
+        if let Some(list) = project {
+            exprs.extend(list.iter().map(|(e, _)| e));
         }
-        let mut segment = match plan {
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                ..
-            } => {
-                let (provider, filter) = base(input)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: None,
-                    agg: Some((group_by, aggs)),
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
-                let (provider, filter) = base(input)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: Some(exprs),
-                    agg: None,
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
-            }
-            other => {
-                let (provider, filter) = base(other)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: None,
-                    agg: None,
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
-            }
-        };
-        if shared_parse {
-            let mut exprs: Vec<&Expr> = Vec::new();
-            if let Some(p) = segment.filter {
-                exprs.push(p);
-            }
-            if let Some(list) = segment.project {
-                exprs.extend(list.iter().map(|(e, _)| e));
-            }
-            if let Some((group_by, aggs)) = segment.agg {
-                exprs.extend(group_by.iter());
-                exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
-            }
-            segment.extractor = JsonExtractor::from_exprs(exprs);
+        if let Some((group_by, aggs)) = agg {
+            exprs.extend(group_by.iter());
+            exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
         }
-        if let Some(predicate) = segment.filter {
-            let mut referenced = std::collections::BTreeSet::new();
+        let mut referenced = std::collections::BTreeSet::new();
+        if let Some(predicate) = filter {
             predicate.collect_columns(&mut referenced);
-            let width = segment.provider.schema().fields().len();
+        }
+        let width = input.fields().len();
+        PipelineSegment {
+            filter,
+            project,
+            agg,
+            extractor: shared_extractor(shared_parse, exprs),
             // Out-of-range references (a planner bug) are left out so the
             // filter's own eval reports the error instead of an index panic.
-            segment.filter_cols = referenced.iter().copied().filter(|&c| c < width).collect();
-            segment.rest_cols = (0..width).filter(|c| !referenced.contains(c)).collect();
-        }
-        Some(segment)
-    }
-
-    /// One split as a batch (`None` = the provider's whole-table scan, used
-    /// for degenerate zero-split providers).
-    fn scan_batch(&self, split: Option<usize>, metrics: &mut ExecMetrics) -> Result<Batch> {
-        match split {
-            Some(s) => self.provider.scan_split_batch(s, metrics),
-            None => self.provider.scan_batch(metrics),
+            filter_cols: referenced.iter().copied().filter(|&c| c < width).collect(),
+            rest_cols: (0..width).filter(|c| !referenced.contains(c)).collect(),
         }
     }
 
-    /// Materialize columnar row `i` into `scratch` with the filter applied
-    /// lazily: only the predicate's columns are built before it runs; the
-    /// rest are built only when the row survives. Returns `false` (and
-    /// charges `batch_rows_skipped`) for rejected rows — their non-predicate
-    /// slots then hold stale cells nothing reads.
-    fn fill_row(
+    fn new_out(&self) -> SegmentOut {
+        match self.agg {
+            Some((group_by, aggs)) => SegmentOut::Agg(AggPartial::new(group_by, aggs)),
+            None => SegmentOut::Rows(Vec::new()),
+        }
+    }
+
+    /// Run the filter and then the projection or aggregation over one
+    /// batch, row at a time so every stage shares one [`RowSlots`] — the
+    /// filter's parse is reused above it. Rows the selection vector drops
+    /// are charged to `batch_rows_skipped` and never visited.
+    fn run(
         &self,
-        cols: &[maxson_storage::ColumnData],
-        i: usize,
-        scratch: &mut [Cell],
+        batch: Batch,
+        out: &mut SegmentOut,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
-        slots: Option<&RowSlots<'_>>,
-    ) -> Result<bool> {
-        match self.filter {
-            Some(predicate) => {
-                for &c in &self.filter_cols {
-                    scratch[c] = cols[c].get(i);
-                }
-                metrics.cells_materialized += self.filter_cols.len() as u64;
-                if !truthy(&predicate.eval_with(scratch, parser, metrics, slots)?) {
-                    metrics.batch_rows_skipped += 1;
-                    return Ok(false);
-                }
-                for &c in &self.rest_cols {
-                    scratch[c] = cols[c].get(i);
-                }
-                metrics.cells_materialized += self.rest_cols.len() as u64;
-            }
-            None => {
-                for (c, col) in cols.iter().enumerate() {
-                    scratch[c] = col.get(i);
-                }
-                metrics.cells_materialized += cols.len() as u64;
-            }
-        }
-        Ok(true)
-    }
-
-    /// The surviving row indexes of a columnar batch, charging
-    /// `batch_rows_skipped` for rows the selection vector drops (they are
-    /// never materialized at all).
-    fn batch_indexes(n: usize, selection: Option<Vec<u32>>, metrics: &mut ExecMetrics) -> Vec<u32> {
-        match selection {
+    ) -> Result<()> {
+        let mut rows = BatchRows::new(batch.data);
+        let n = rows.len();
+        let indexes = match batch.selection {
             Some(sel) => {
                 metrics.batch_rows_skipped += (n - sel.len()) as u64;
                 sel
             }
             None => (0..n as u32).collect(),
-        }
-    }
-
-    /// Scan one split and run the filter (and projection, if any) over it,
-    /// row at a time so both stages share one [`RowSlots`] — the filter's
-    /// parse is reused by the projection. Columnar batches reuse one
-    /// scratch row and materialize cells late; row-major batches keep the
-    /// pre-batching row loop byte for byte.
-    fn run_rows(
-        &self,
-        split: Option<usize>,
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Result<Vec<Vec<Cell>>> {
-        let batch = self.scan_batch(split, metrics)?;
-        let selection = batch.selection;
-        let cols = match batch.data {
-            BatchData::Rows(rows) => {
-                let rows = Batch {
-                    data: BatchData::Rows(rows),
-                    selection,
-                }
-                .into_rows(metrics);
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
-                    if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
-                            continue;
-                        }
-                    }
-                    match self.project {
-                        Some(exprs) => {
-                            let mut projected = Vec::with_capacity(exprs.len());
-                            for (e, _) in exprs {
-                                projected.push(e.eval_with(
-                                    &row,
-                                    parser,
-                                    metrics,
-                                    slots.as_ref(),
-                                )?);
-                            }
-                            out.push(projected);
-                        }
-                        None => out.push(row),
-                    }
-                }
-                return Ok(out);
-            }
-            BatchData::Columns(cols) => cols,
         };
-        let n = cols.first().map_or(0, |c| c.len());
-        let indexes = Self::batch_indexes(n, selection, metrics);
-        let mut scratch: Vec<Cell> = vec![Cell::Null; cols.len()];
-        let mut out = Vec::new();
         for &i in &indexes {
+            let i = i as usize;
             let slots = self.extractor.as_ref().map(RowSlots::new);
-            if !self.fill_row(
-                &cols,
-                i as usize,
-                &mut scratch,
-                parser,
-                metrics,
-                slots.as_ref(),
-            )? {
-                continue;
-            }
-            match self.project {
-                Some(exprs) => {
-                    let mut projected = Vec::with_capacity(exprs.len());
-                    for (e, _) in exprs {
-                        projected.push(e.eval_with(&scratch, parser, metrics, slots.as_ref())?);
-                    }
-                    out.push(projected);
+            if let Some(predicate) = self.filter {
+                rows.load(i, &self.filter_cols, metrics);
+                if !truthy(&predicate.eval_with(rows.row(i), parser, metrics, slots.as_ref())?) {
+                    rows.reject(metrics);
+                    continue;
                 }
-                // Cheap: cell clones are refcount bumps on shared buffers.
-                None => out.push(scratch.clone()),
+            }
+            rows.load(i, &self.rest_cols, metrics);
+            match out {
+                SegmentOut::Agg(partial) => {
+                    let (group_by, aggs) = self.agg.expect("aggregate output implies aggregate");
+                    partial.update(rows.row(i), group_by, aggs, parser, metrics, slots.as_ref())?;
+                }
+                SegmentOut::Rows(out) => match self.project {
+                    Some(exprs) => {
+                        let mut projected = Vec::with_capacity(exprs.len());
+                        for (e, _) in exprs {
+                            projected.push(e.eval_with(
+                                rows.row(i),
+                                parser,
+                                metrics,
+                                slots.as_ref(),
+                            )?);
+                        }
+                        out.push(projected);
+                    }
+                    None => out.push(rows.take(i)),
+                },
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Scan one split and fold it into an aggregate partial, sharing each
-    /// row's parse between the filter and the group-key/argument
-    /// evaluations. Columnar batches materialize cells late, as in
-    /// [`PipelineSegment::run_rows`].
-    fn run_agg(
+    /// Scan one split into `out` under its own `split` span.
+    #[allow(clippy::too_many_arguments)]
+    fn run_split(
         &self,
-        split: Option<usize>,
-        partial: &mut AggPartial,
+        provider: &dyn ScanProvider,
+        split: usize,
+        out: &mut SegmentOut,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
+        tracer: &Tracer,
+        parent: Option<SpanId>,
     ) -> Result<()> {
-        let (group_by, aggs) = self.agg.expect("run_agg requires an aggregate segment");
-        let batch = self.scan_batch(split, metrics)?;
-        let selection = batch.selection;
-        let cols = match batch.data {
-            BatchData::Rows(rows) => {
-                let rows = Batch {
-                    data: BatchData::Rows(rows),
-                    selection,
-                }
-                .into_rows(metrics);
-                for row in rows {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
-                    if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
-                            continue;
-                        }
-                    }
-                    partial.update(&row, group_by, aggs, parser, metrics, slots.as_ref())?;
-                }
-                return Ok(());
-            }
-            BatchData::Columns(cols) => cols,
-        };
-        let n = cols.first().map_or(0, |c| c.len());
-        let indexes = Self::batch_indexes(n, selection, metrics);
-        let mut scratch: Vec<Cell> = vec![Cell::Null; cols.len()];
-        for &i in &indexes {
-            let slots = self.extractor.as_ref().map(RowSlots::new);
-            if !self.fill_row(
-                &cols,
-                i as usize,
-                &mut scratch,
-                parser,
-                metrics,
-                slots.as_ref(),
-            )? {
-                continue;
-            }
-            partial.update(&scratch, group_by, aggs, parser, metrics, slots.as_ref())?;
+        let span = tracer.child("split", parent);
+        span.attr("split", split);
+        let before = counters_before(tracer, metrics);
+        let rows_before = out.row_count();
+        let batch = provider.scan_split_batch(split, metrics)?;
+        self.run(batch, out, parser, metrics)?;
+        if let (Some(after), Some(before)) = (out.row_count(), rows_before) {
+            span.attr("rows_out", after - before);
         }
+        attr_counter_deltas(&span, before.as_ref(), metrics);
         Ok(())
     }
 }
@@ -702,28 +646,53 @@ fn note_pool_run(metrics: &mut ExecMetrics, threads_spawned: usize, walls: &[std
     metrics.absorb(&run);
 }
 
-/// Run `plan` through the unified scan pipeline if it has segment shape.
-/// Returns `Ok(None)` when the plan shape does not qualify, in which case
-/// the caller falls back to the per-operator path. Serial execution (one
-/// thread, or fewer than two splits) walks the splits sequentially on the
-/// calling thread in index order — provably the same rows and metrics as
-/// the old chained operators, since `scan()` is exactly that loop — while
-/// parallel execution fans splits out over the pool.
-fn run_pipeline(
-    plan: &LogicalPlan,
+/// Build the segment of `filter` then `project` or `agg` over `source`
+/// and run it.
+#[allow(clippy::too_many_arguments)]
+fn run_segment(
+    source: Source<'_>,
+    filter: Option<&Expr>,
+    project: Option<&[(Expr, String)]>,
+    agg: Option<AggStage<'_>>,
     parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
     parent: Option<SpanId>,
-) -> Result<Option<Vec<Vec<Cell>>>> {
-    let Some(segment) = PipelineSegment::extract(plan, opts.shared_parse) else {
-        return Ok(None);
+) -> Result<Vec<Vec<Cell>>> {
+    let schema = match source {
+        Source::Scan(provider) => provider.schema(),
+        Source::Rows(_, input) => input.schema(),
     };
-    let splits = segment.provider.split_count();
+    let segment = PipelineSegment::new(filter, project, agg, schema, opts.shared_parse);
+    match source {
+        Source::Scan(provider) => {
+            run_pipeline(provider, segment, parser, metrics, opts, tracer, parent)
+        }
+        Source::Rows(name, input) => {
+            run_over_rows(name, input, segment, parser, metrics, opts, tracer, parent)
+        }
+    }
+}
+
+/// Run a segment fused with `provider`'s scan. Serial execution (one
+/// thread, or fewer than two splits) walks the splits on the calling
+/// thread in index order; parallel execution fans them out over the pool
+/// and merges their outputs in split order.
+#[allow(clippy::too_many_arguments)]
+fn run_pipeline(
+    provider: &dyn ScanProvider,
+    segment: PipelineSegment<'_>,
+    parser: JsonParserKind,
+    metrics: &mut ExecMetrics,
+    opts: &ExecOptions,
+    tracer: &Tracer,
+    parent: Option<SpanId>,
+) -> Result<Vec<Vec<Cell>>> {
+    let splits = provider.split_count();
     let span = tracer.child("scan_pipeline", parent);
     if span.is_recording() {
-        span.attr("label", segment.provider.label());
+        span.attr("label", provider.label());
         let mut stages = String::from("scan");
         if segment.filter.is_some() {
             stages.push_str("+filter");
@@ -737,111 +706,79 @@ fn run_pipeline(
         span.attr("stages", stages);
         span.attr("splits", splits);
     }
+    let mut out = segment.new_out();
     // Single-split (and empty) tables stay serial even with many threads:
     // spawning threads for one task buys nothing and must not change
     // observable behavior (threads_used stays 0).
     if opts.threads <= 1 || splits <= 1 {
-        // Degenerate providers report zero splits; run their whole-table
-        // `scan()` as one pseudo-split to preserve their behavior.
-        let split_ids: Vec<Option<usize>> = if splits == 0 {
-            vec![None]
-        } else {
-            (0..splits).map(Some).collect()
-        };
-        match segment.agg {
-            None => {
-                let mut out = Vec::new();
-                for split in split_ids {
-                    let split_span = tracer.child("split", span.id());
-                    if let Some(s) = split {
-                        split_span.attr("split", s);
-                    }
-                    let before = counters_before(tracer, metrics);
-                    let rows = segment.run_rows(split, parser, metrics)?;
-                    split_span.attr("rows_out", rows.len());
-                    attr_counter_deltas(&split_span, before.as_ref(), metrics);
-                    out.extend(rows);
-                }
-                span.attr("rows_out", out.len());
-                return Ok(Some(out));
-            }
-            Some((group_by, aggs)) => {
-                let mut partial = AggPartial::new(group_by, aggs);
-                for split in split_ids {
-                    let split_span = tracer.child("split", span.id());
-                    if let Some(s) = split {
-                        split_span.attr("split", s);
-                    }
-                    let before = counters_before(tracer, metrics);
-                    segment.run_agg(split, &mut partial, parser, metrics)?;
-                    attr_counter_deltas(&split_span, before.as_ref(), metrics);
-                }
-                let out = finish_aggregate(partial);
-                span.attr("rows_out", out.len());
-                return Ok(Some(out));
-            }
+        for split in 0..splits {
+            segment.run_split(
+                provider,
+                split,
+                &mut out,
+                parser,
+                metrics,
+                tracer,
+                span.id(),
+            )?;
+        }
+    } else {
+        // Worker tasks parent their per-split spans on the pipeline span
+        // even though they record from pool threads — the guard id is Copy
+        // and the tracer is Sync, so each split lands on its own thread
+        // track.
+        let pipe_id = span.id();
+        let run =
+            pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
+                let mut task_metrics = ExecMetrics::default();
+                let mut task_out = segment.new_out();
+                segment.run_split(
+                    provider,
+                    split,
+                    &mut task_out,
+                    parser,
+                    &mut task_metrics,
+                    tracer,
+                    pipe_id,
+                )?;
+                Ok((task_out, task_metrics))
+            })?;
+        note_pool_run(metrics, run.threads_spawned, &run.task_walls);
+        let workers = run.threads_spawned.max(1) as u32;
+        for (task_out, mut task_metrics) in run.results {
+            scale_wall_gauges(&mut task_metrics, workers);
+            metrics.absorb(&task_metrics);
+            out.merge(task_out);
         }
     }
-    // Worker tasks parent their per-split spans on the pipeline span even
-    // though they record from pool threads — the guard id is Copy and the
-    // tracer is Sync, so each split lands on its own thread track.
-    let pipe_id = span.id();
-    match segment.agg {
-        None => {
-            let run =
-                pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
-                    let mut task_metrics = ExecMetrics::default();
-                    let split_span = tracer.child("split", pipe_id);
-                    split_span.attr("split", split);
-                    let zero = counters_before(tracer, &ExecMetrics::default());
-                    let rows = segment.run_rows(Some(split), parser, &mut task_metrics)?;
-                    split_span.attr("rows_out", rows.len());
-                    attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
-                    Ok((rows, task_metrics))
-                })?;
-            note_pool_run(metrics, run.threads_spawned, &run.task_walls);
-            let workers = run.threads_spawned.max(1) as u32;
-            let mut out = Vec::new();
-            for (rows, mut task_metrics) in run.results {
-                scale_wall_gauges(&mut task_metrics, workers);
-                metrics.absorb(&task_metrics);
-                out.extend(rows);
-            }
-            span.attr("rows_out", out.len());
-            Ok(Some(out))
-        }
-        Some((group_by, aggs)) => {
-            let run =
-                pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
-                    let mut task_metrics = ExecMetrics::default();
-                    let split_span = tracer.child("split", pipe_id);
-                    split_span.attr("split", split);
-                    let zero = counters_before(tracer, &ExecMetrics::default());
-                    let mut partial = AggPartial::new(group_by, aggs);
-                    segment.run_agg(Some(split), &mut partial, parser, &mut task_metrics)?;
-                    attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
-                    Ok((partial, task_metrics))
-                })?;
-            note_pool_run(metrics, run.threads_spawned, &run.task_walls);
-            let workers = run.threads_spawned.max(1) as u32;
-            let mut merged: Option<AggPartial> = None;
-            for (partial, mut task_metrics) in run.results {
-                scale_wall_gauges(&mut task_metrics, workers);
-                metrics.absorb(&task_metrics);
-                merged = Some(match merged {
-                    None => partial,
-                    Some(mut acc) => {
-                        acc.merge(partial);
-                        acc
-                    }
-                });
-            }
-            let merged = merged.expect("split count >= 2 yields partials");
-            let out = finish_aggregate(merged);
-            span.attr("rows_out", out.len());
-            Ok(Some(out))
-        }
-    }
+    let out = out.finish();
+    span.attr("rows_out", out.len());
+    Ok(out)
+}
+
+/// Run a one-stage segment over a non-scan input's materialized rows (one
+/// row-major batch), under an operator span named `name`.
+#[allow(clippy::too_many_arguments)]
+fn run_over_rows(
+    name: &str,
+    input: &LogicalPlan,
+    segment: PipelineSegment<'_>,
+    parser: JsonParserKind,
+    metrics: &mut ExecMetrics,
+    opts: &ExecOptions,
+    tracer: &Tracer,
+    parent: Option<SpanId>,
+) -> Result<Vec<Vec<Cell>>> {
+    let span = tracer.child(name, parent);
+    let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+    span.attr("rows_in", rows.len());
+    let before = counters_before(tracer, metrics);
+    let mut out = segment.new_out();
+    segment.run(Batch::from_rows(rows), &mut out, parser, metrics)?;
+    let out = out.finish();
+    span.attr("rows_out", out.len());
+    attr_counter_deltas(&span, before.as_ref(), metrics);
+    Ok(out)
 }
 
 /// Turn a pool task's serially-charged wall gauges into this run's
@@ -1166,31 +1103,6 @@ impl AggPartial {
     }
 }
 
-/// Build the aggregate partial for one slice of input rows (first-seen
-/// group order for deterministic output). With `shared_parse`, each row
-/// parses its JSON documents once across group keys and aggregate args.
-fn partial_aggregate(
-    rows: &[Vec<Cell>],
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<AggPartial> {
-    let extractor = shared_extractor(
-        shared_parse,
-        group_by
-            .iter()
-            .chain(aggs.iter().filter_map(|(_, a)| a.as_ref())),
-    );
-    let mut partial = AggPartial::new(group_by, aggs);
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        partial.update(row, group_by, aggs, parser, metrics, slots.as_ref())?;
-    }
-    Ok(partial)
-}
-
 /// Finish a (possibly merged) partial into output rows.
 fn finish_aggregate(partial: AggPartial) -> Vec<Vec<Cell>> {
     match partial {
@@ -1210,22 +1122,6 @@ fn finish_aggregate(partial: AggPartial) -> Vec<Vec<Cell>> {
             out
         }
     }
-}
-
-/// Serial aggregation: one partial over the whole input, finished. The
-/// parallel path goes through the same `partial_aggregate` /
-/// `finish_aggregate` pair, so there is a single aggregation
-/// implementation to trust.
-fn aggregate(
-    rows: Vec<Vec<Cell>>,
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let partial = partial_aggregate(&rows, group_by, aggs, parser, metrics, shared_parse)?;
-    Ok(finish_aggregate(partial))
 }
 
 fn hash_join(
@@ -1302,24 +1198,6 @@ fn sort_rows(
     Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
-/// Evaluate a standalone expression list over rows (helper for tests).
-pub fn project_rows(
-    rows: &[Vec<Cell>],
-    exprs: &[Expr],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-) -> Result<Vec<Vec<Cell>>> {
-    rows.iter()
-        .map(|row| {
-            exprs
-                .iter()
-                .map(|e| e.eval(row, parser, metrics))
-                .collect::<Result<Vec<Cell>>>()
-        })
-        .collect::<Result<Vec<_>>>()
-        .map_err(|e| EngineError::exec(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1349,12 +1227,15 @@ mod tests {
     }
 
     impl SplitFixed {
+        /// Columns `c0, c1, …` as wide as the first row (2 when empty).
         fn new(splits: Vec<Vec<Vec<Cell>>>) -> Self {
+            let width = splits.iter().flatten().next().map_or(2, Vec::len);
             SplitFixed {
-                schema: Schema::new(vec![
-                    Field::new("tag", ColumnType::Utf8),
-                    Field::new("v", ColumnType::Int64),
-                ])
+                schema: Schema::new(
+                    (0..width)
+                        .map(|c| Field::new(format!("c{c}"), ColumnType::Utf8))
+                        .collect(),
+                )
                 .unwrap(),
                 splits,
                 poisoned: None,
@@ -1366,31 +1247,63 @@ mod tests {
         fn schema(&self) -> &Schema {
             &self.schema
         }
-        fn scan(&self, m: &mut ExecMetrics) -> crate::error::Result<Vec<Vec<Cell>>> {
-            let mut rows = Vec::new();
-            for s in 0..self.splits.len() {
-                rows.extend(self.scan_split(s, m)?);
-            }
-            Ok(rows)
-        }
         fn split_count(&self) -> usize {
             self.splits.len()
         }
-        fn scan_split(
-            &self,
-            split: usize,
-            m: &mut ExecMetrics,
-        ) -> crate::error::Result<Vec<Vec<Cell>>> {
+        fn scan_split_batch(&self, split: usize, m: &mut ExecMetrics) -> Result<Batch> {
             if self.poisoned == Some(split) {
                 panic!("corrupt split body");
             }
             let rows = self.splits[split].clone();
             m.rows_scanned += rows.len() as u64;
-            Ok(rows)
+            Ok(Batch::from_rows(rows))
         }
         fn label(&self) -> String {
             "SplitFixed".into()
         }
+    }
+
+    fn scan_of(splits: Vec<Vec<Vec<Cell>>>) -> LogicalPlan {
+        LogicalPlan::Scan {
+            provider: Box::new(SplitFixed::new(splits)),
+        }
+    }
+
+    /// Aggregate `splits` through the executor at `threads`.
+    fn run_aggregate(
+        splits: Vec<Vec<Vec<Cell>>>,
+        group_by: &[Expr],
+        aggs: &[(AggFunc, Option<Expr>)],
+        threads: usize,
+    ) -> Vec<Vec<Cell>> {
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(scan_of(splits)),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            schema: Schema::new(vec![]).unwrap(),
+        };
+        execute_plan_with(
+            &plan,
+            JsonParserKind::Jackson,
+            &mut m(),
+            ExecOptions::with_threads(threads),
+        )
+        .unwrap()
+    }
+
+    /// Fold `rows` into one partial, as a split task does.
+    fn fold_partial(
+        rows: &[Vec<Cell>],
+        group_by: &[Expr],
+        aggs: &[(AggFunc, Option<Expr>)],
+    ) -> AggPartial {
+        let mut partial = AggPartial::new(group_by, aggs);
+        for row in rows {
+            partial
+                .update(row, group_by, aggs, JsonParserKind::Jackson, &mut m(), None)
+                .unwrap();
+        }
+        partial
     }
 
     fn ten_split_plan(poisoned: Option<usize>) -> LogicalPlan {
@@ -1422,7 +1335,7 @@ mod tests {
             (AggFunc::Max, Some(Expr::Column(1))),
             (AggFunc::Avg, Some(Expr::Column(1))),
         ];
-        let out = aggregate(rows3(), &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = run_aggregate(vec![rows3()], &[], &aggs, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Cell::Int(4)); // COUNT(*)
         assert_eq!(out[0][1], Cell::Int(3)); // COUNT(v) skips null
@@ -1440,11 +1353,14 @@ mod tests {
             (AggFunc::Avg, Some(Expr::Column(0))),
             (AggFunc::Min, Some(Expr::Column(0))),
         ];
-        let out = aggregate(vec![], &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
-        assert_eq!(
-            out[0],
-            vec![Cell::Int(0), Cell::Null, Cell::Null, Cell::Null]
-        );
+        // No splits at all, and one split with no rows.
+        for splits in [vec![], vec![vec![]]] {
+            let out = run_aggregate(splits, &[], &aggs, 1);
+            assert_eq!(
+                out,
+                vec![vec![Cell::Int(0), Cell::Null, Cell::Null, Cell::Null]]
+            );
+        }
     }
 
     #[test]
@@ -1453,15 +1369,7 @@ mod tests {
             (AggFunc::Count, None),
             (AggFunc::Sum, Some(Expr::Column(1))),
         ];
-        let out = aggregate(
-            rows3(),
-            &[Expr::Column(0)],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let out = run_aggregate(vec![rows3()], &[Expr::Column(0)], &aggs, 1);
         assert_eq!(out.len(), 3);
         assert_eq!(
             out[0],
@@ -1488,37 +1396,12 @@ mod tests {
             (AggFunc::Sum, Some(Expr::Column(0))),
             (AggFunc::Avg, Some(Expr::Column(0))),
         ];
-        let serial = aggregate(
-            rows.clone(),
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let serial = run_aggregate(vec![rows.clone()], &[], &aggs, 1);
         for cut1 in 0..rows.len() {
             for cut2 in cut1..rows.len() {
-                let mut acc = partial_aggregate(
-                    &rows[..cut1],
-                    &[],
-                    &aggs,
-                    JsonParserKind::Jackson,
-                    &mut m(),
-                    true,
-                )
-                .unwrap();
+                let mut acc = fold_partial(&rows[..cut1], &[], &aggs);
                 for chunk in [&rows[cut1..cut2], &rows[cut2..]] {
-                    let part = partial_aggregate(
-                        chunk,
-                        &[],
-                        &aggs,
-                        JsonParserKind::Jackson,
-                        &mut m(),
-                        true,
-                    )
-                    .unwrap();
-                    acc.merge(part);
+                    acc.merge(fold_partial(chunk, &[], &aggs));
                 }
                 let merged = finish_aggregate(acc);
                 // Compare exact bits, not approximate equality.
@@ -1539,36 +1422,18 @@ mod tests {
             (AggFunc::Sum, Some(Expr::Column(1))),
         ];
         let group = vec![Expr::Column(0)];
-        let serial = aggregate(
-            rows.clone(),
-            &group,
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let serial = run_aggregate(vec![rows.clone()], &group, &aggs, 1);
         for cut in 0..=rows.len() {
-            let mut acc = partial_aggregate(
-                &rows[..cut],
-                &group,
-                &aggs,
-                JsonParserKind::Jackson,
-                &mut m(),
-                true,
-            )
-            .unwrap();
-            let rest = partial_aggregate(
-                &rows[cut..],
-                &group,
-                &aggs,
-                JsonParserKind::Jackson,
-                &mut m(),
-                true,
-            )
-            .unwrap();
-            acc.merge(rest);
+            let mut acc = fold_partial(&rows[..cut], &group, &aggs);
+            acc.merge(fold_partial(&rows[cut..], &group, &aggs));
             assert_eq!(finish_aggregate(acc), serial, "cut at {cut}");
+            // The same two splits through the executor's parallel merge.
+            let splits = vec![rows[..cut].to_vec(), rows[cut..].to_vec()];
+            assert_eq!(
+                run_aggregate(splits, &group, &aggs, 2),
+                serial,
+                "cut at {cut}"
+            );
         }
     }
 
@@ -1576,34 +1441,9 @@ mod tests {
     fn count_distinct_merges_as_set_union() {
         let rows = rows3();
         let aggs = vec![(AggFunc::CountDistinct, Some(Expr::Column(0)))];
-        let serial = aggregate(
-            rows.clone(),
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        let mut acc = partial_aggregate(
-            &rows[..2],
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        let rest = partial_aggregate(
-            &rows[2..],
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        acc.merge(rest);
+        let serial = run_aggregate(vec![rows.clone()], &[], &aggs, 1);
+        let mut acc = fold_partial(&rows[..2], &[], &aggs);
+        acc.merge(fold_partial(&rows[2..], &[], &aggs));
         assert_eq!(finish_aggregate(acc), serial);
         assert_eq!(serial[0][0], Cell::Int(3));
     }
@@ -1688,7 +1528,7 @@ mod tests {
     fn sum_mixed_int_float_is_float() {
         let rows = vec![vec![Cell::Int(1)], vec![Cell::Float(2.5)]];
         let aggs = vec![(AggFunc::Sum, Some(Expr::Column(0)))];
-        let out = aggregate(rows, &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = run_aggregate(vec![rows], &[], &aggs, 1);
         assert_eq!(out[0][0], Cell::Float(3.5));
     }
 
@@ -1697,7 +1537,7 @@ mod tests {
         // JSON-extracted values arrive as strings; SUM must still work.
         let rows = vec![vec![Cell::Str("10".into())], vec![Cell::Str("5".into())]];
         let aggs = vec![(AggFunc::Sum, Some(Expr::Column(0)))];
-        let out = aggregate(rows, &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = run_aggregate(vec![rows], &[], &aggs, 1);
         assert_eq!(out[0][0], Cell::Float(15.0));
     }
 
@@ -1712,8 +1552,8 @@ mod tests {
             fn schema(&self) -> &Schema {
                 &self.0
             }
-            fn scan(&self, _m: &mut ExecMetrics) -> crate::error::Result<Vec<Vec<Cell>>> {
-                Ok(self.1.clone())
+            fn scan_split_batch(&self, _split: usize, _m: &mut ExecMetrics) -> Result<Batch> {
+                Ok(Batch::from_rows(self.1.clone()))
             }
             fn label(&self) -> String {
                 "Fixed".into()

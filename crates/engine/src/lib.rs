@@ -16,8 +16,12 @@
 //!   that single parse (toggle: `MAXSON_SHARED_PARSE`),
 //! * [`plan`] — the logical plan with a [`scan::ScanProvider`]
 //!   extension point that Maxson's combined reader plugs into,
-//! * [`exec`] — volcano-style operators (scan, filter, project, hash
-//!   aggregate, hash join, sort, limit) over materialized row batches,
+//! * [`scan`] — the one-method scan interface
+//!   ([`scan::ScanProvider::scan_split_batch`]) and the Norc provider,
+//! * [`exec`] — plan execution: scan, filter, project and hash aggregate
+//!   run through one segment row loop (split-parallel over scans, one
+//!   batch over any other input); hash join, sort, limit and distinct are
+//!   volcano-style operators over materialized rows,
 //! * [`metrics`] — per-phase instrumentation (Read / Parse / Compute), the
 //!   measurement behind the paper's Fig. 3 and Fig. 12,
 //! * [`explain`] — the `EXPLAIN ANALYZE` renderer: the recorded span tree

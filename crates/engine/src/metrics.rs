@@ -59,10 +59,11 @@ pub struct ExecMetrics {
     pub row_groups_read: u64,
     /// Rows rejected by the Sparser-style raw prefilter before parsing.
     pub prefilter_dropped: u64,
-    /// Cells converted out of columnar batches into row [`Cell`]s. Late
-    /// materialization keeps this below `rows × columns` whenever a filter
-    /// rejects rows: rejected rows only materialize the predicate's
-    /// columns. Zero for providers that produce rows directly.
+    /// Cells converted out of columnar batches into row
+    /// [`Cell`](maxson_storage::Cell)s. Late materialization keeps this
+    /// below `rows × columns` whenever a filter rejects rows: rejected rows
+    /// only materialize the predicate's columns. Zero for providers that
+    /// produce rows directly.
     pub cells_materialized: u64,
     /// Rows of a columnar batch dropped before full-row materialization —
     /// by the batch's selection vector (prefilter) or by the filter after

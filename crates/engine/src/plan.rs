@@ -291,11 +291,12 @@ mod tests {
         fn schema(&self) -> &Schema {
             &self.0
         }
-        fn scan(
+        fn scan_split_batch(
             &self,
+            _split: usize,
             _m: &mut crate::metrics::ExecMetrics,
-        ) -> crate::error::Result<Vec<Vec<Cell>>> {
-            Ok(vec![])
+        ) -> crate::error::Result<crate::scan::Batch> {
+            Ok(crate::scan::Batch::from_rows(vec![]))
         }
         fn label(&self) -> String {
             "Fake".into()

@@ -48,7 +48,7 @@ use maxson_storage::{Cell, Schema};
 
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
-use crate::scan::ScanProvider;
+use crate::scan::{Batch, ScanProvider};
 
 /// Entries at or below this size are admitted without consulting the cost
 /// model — the bookkeeping outweighs any misjudgement.
@@ -463,8 +463,8 @@ impl ScanProvider for CachedRowsProvider {
         &self.schema
     }
 
-    fn scan(&self, _metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        Ok((*self.rows).clone())
+    fn scan_split_batch(&self, _split: usize, _metrics: &mut ExecMetrics) -> Result<Batch> {
+        Ok(Batch::from_rows((*self.rows).clone()))
     }
 
     fn label(&self) -> String {
@@ -881,7 +881,7 @@ mod tests {
         assert_eq!(c.stats().fragment_hits, 1);
         let provider = CachedRowsProvider::new(entry);
         let mut m = ExecMetrics::default();
-        let out = provider.scan(&mut m).unwrap();
+        let out = crate::scan::scan_rows(&provider, &mut m).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(m.docs_parsed, 0);
         assert_eq!(m.bytes_read, 0);

@@ -1,10 +1,17 @@
 //! Table scanning with a pluggable provider.
 //!
 //! [`ScanProvider`] is the engine's extension point for the table-reading
-//! phase. The default [`NorcScanProvider`] reads a Norc table split by
-//! split, applying SARG row-group skipping. Maxson's value combiner
-//! installs its own provider that reads the raw table and cache table with
-//! two synchronized readers.
+//! phase. Its one read method is [`ScanProvider::scan_split_batch`]: a
+//! table is `split_count()` independently readable splits, each handed over
+//! as a [`Batch`]. The executor walks splits in index order (or fans them
+//! out over the pool), and [`scan_rows`] concatenates them for callers
+//! that just want every row.
+//!
+//! The default [`NorcScanProvider`] reads a Norc table split by split,
+//! applying SARG row-group skipping, and returns decoded column chunks.
+//! Maxson's value combiner installs its own provider that reads the raw
+//! table and cache table with two synchronized readers and returns their
+//! chunks side by side, in the same columnar form.
 
 use std::fmt::Debug;
 use std::time::Instant;
@@ -18,8 +25,8 @@ use crate::metrics::ExecMetrics;
 /// Physical layout of one scanned batch.
 #[derive(Debug)]
 pub enum BatchData {
-    /// Row-major: providers that assemble rows directly (the Maxson
-    /// combiner's two synchronized readers, the online LRU, test stubs).
+    /// Row-major: providers that assemble rows directly (the join-stitch
+    /// and online-LRU baselines, reuse-cache replays, test stubs).
     Rows(Vec<Vec<Cell>>),
     /// Column-major: decoded storage chunks handed over without
     /// materializing any row. Cells are built lazily by the consumer.
@@ -114,47 +121,40 @@ impl Batch {
 ///
 /// `Send + Sync` is a supertrait because the split-parallel executor shares
 /// one provider across scoped worker threads, each calling
-/// [`ScanProvider::scan_split`] for a different split.
+/// [`ScanProvider::scan_split_batch`] for a different split.
 pub trait ScanProvider: Debug + Send + Sync {
     /// Output schema of the scan (what downstream expressions resolve
     /// against).
     fn schema(&self) -> &Schema;
 
-    /// Read all rows, charging read time/bytes to `metrics`.
-    fn scan(&self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>>;
-
-    /// Number of independently scannable splits. The default of 1 keeps a
-    /// provider on the serial path; providers that can read splits
-    /// independently override this together with [`ScanProvider::scan_split`].
+    /// Number of independently scannable splits (zero for an empty
+    /// table). The default of 1 suits providers that produce their rows in
+    /// one piece.
     fn split_count(&self) -> usize {
         1
     }
 
-    /// Read the rows of one split (`0 <= split < split_count()`), charging
-    /// that split's read time/bytes to `metrics`. Concatenating the outputs
-    /// of every split in index order must equal [`ScanProvider::scan`].
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        debug_assert_eq!(split, 0, "default provider has a single split");
-        let _ = split;
-        self.scan(metrics)
-    }
-
-    /// Read all rows as one batch. The default wraps [`ScanProvider::scan`]
-    /// row-major; columnar providers override to hand decoded chunks to the
-    /// pipeline without materializing cells.
-    fn scan_batch(&self, metrics: &mut ExecMetrics) -> Result<Batch> {
-        Ok(Batch::from_rows(self.scan(metrics)?))
-    }
-
-    /// Read one split as a batch (same contract as
-    /// [`ScanProvider::scan_split`]: selected rows concatenated in split
-    /// index order must equal [`ScanProvider::scan`]).
-    fn scan_split_batch(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
-        Ok(Batch::from_rows(self.scan_split(split, metrics)?))
-    }
+    /// Read one split (`0 <= split < split_count()`), charging that split's
+    /// read time/bytes to `metrics`. The table's rows are the selected rows
+    /// of every split, concatenated in split index order ([`scan_rows`]).
+    fn scan_split_batch(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch>;
 
     /// Short label for plan display.
     fn label(&self) -> String;
+}
+
+/// Every row of `provider`: each split's batch materialized
+/// ([`Batch::into_rows`]) and concatenated in split index order.
+pub fn scan_rows(provider: &dyn ScanProvider, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
+    let mut rows = Vec::new();
+    for split in 0..provider.split_count() {
+        rows.extend(
+            provider
+                .scan_split_batch(split, metrics)?
+                .into_rows(metrics),
+        );
+    }
+    Ok(rows)
 }
 
 /// The default provider: scan a Norc table directory.
@@ -211,26 +211,8 @@ impl ScanProvider for NorcScanProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        let mut rows = Vec::new();
-        for split_idx in 0..self.table.file_count() {
-            rows.extend(self.scan_split(split_idx, metrics)?);
-        }
-        Ok(rows)
-    }
-
     fn split_count(&self) -> usize {
         self.table.file_count()
-    }
-
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        Ok(self.scan_split_batch(split, metrics)?.into_rows(metrics))
-    }
-
-    fn scan_batch(&self, metrics: &mut ExecMetrics) -> Result<Batch> {
-        // Whole-table batch only makes sense for single-file tables; the
-        // pipeline walks splits individually otherwise.
-        Ok(Batch::from_rows(self.scan(metrics)?))
     }
 
     fn scan_split_batch(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
@@ -362,7 +344,7 @@ mod tests {
         let t = make_table("all", &[10, 5], 4);
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[0][0], Cell::Int(0));
         assert_eq!(rows[14][0], Cell::Int(14));
@@ -378,7 +360,7 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![1], None).unwrap();
         assert_eq!(p.schema().fields()[0].name, "tag");
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows[3], vec![Cell::Str("t3".into())]);
         p.table.drop_table().unwrap();
     }
@@ -390,7 +372,7 @@ mod tests {
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(12));
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // Groups 0-4 and 5-9 skipped; group 10-14 kept (contains 12+).
         assert_eq!(m.row_groups_skipped, 2);
         assert_eq!(m.row_groups_read, 2);
@@ -416,25 +398,26 @@ mod tests {
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(100));
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(m.row_groups_skipped, 0, "multi-stripe file must not skip");
         assert_eq!(rows.len(), 20);
         p.table.drop_table().unwrap();
     }
 
     #[test]
-    fn split_scan_concatenation_matches_whole_scan() {
+    fn one_split_per_file_in_file_order() {
         let t = make_table("splits", &[7, 5, 9], 4);
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         assert_eq!(p.split_count(), 3);
-        let mut whole_m = ExecMetrics::default();
-        let whole = p.scan(&mut whole_m).unwrap();
         let mut split_m = ExecMetrics::default();
-        let mut stitched = Vec::new();
-        for s in 0..p.split_count() {
-            stitched.extend(p.scan_split(s, &mut split_m).unwrap());
-        }
-        assert_eq!(stitched, whole);
+        let lens: Vec<usize> = (0..p.split_count())
+            .map(|s| p.scan_split_batch(s, &mut split_m).unwrap().len())
+            .collect();
+        assert_eq!(lens, vec![7, 5, 9]);
+        let mut whole_m = ExecMetrics::default();
+        let whole = scan_rows(&p, &mut whole_m).unwrap();
+        let ids: Vec<Cell> = whole.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, (0..21).map(Cell::Int).collect::<Vec<_>>());
         assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
         assert_eq!(split_m.bytes_read, whole_m.bytes_read);
         assert_eq!(split_m.row_groups_read, whole_m.row_groups_read);
@@ -457,9 +440,9 @@ mod tests {
         let rows = batch.into_rows(&mut bm);
         assert_eq!(bm.cells_materialized, 16);
         assert_eq!(bm.batch_rows_skipped, 0);
-        // The row API is the batch API plus materialization.
+        // The row helper is the batch API plus materialization.
         let mut rm = ExecMetrics::default();
-        let via_rows = p.scan_split(0, &mut rm).unwrap();
+        let via_rows = scan_rows(&p, &mut rm).unwrap();
         assert_eq!(rows, via_rows);
         assert_eq!(rm.bytes_read, bm.bytes_read);
         assert_eq!(rm.cells_materialized, 16);
@@ -498,7 +481,7 @@ mod tests {
         let mut no_filter_m = ExecMetrics::default();
         let p2 =
             NorcScanProvider::new(Table::open(p.table.dir()).unwrap(), vec![0, 1], None).unwrap();
-        p2.scan(&mut no_filter_m).unwrap();
+        scan_rows(&p2, &mut no_filter_m).unwrap();
         assert_eq!(m.bytes_read, no_filter_m.bytes_read);
         // Materializing honors the selection and counts skipped rows.
         let rows_out = batch.into_rows(&mut m);

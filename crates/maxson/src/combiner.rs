@@ -5,7 +5,12 @@
 //! split: the **PrimaryReader** over the raw table file and the
 //! **CacheReader** over the cache table file with the same index. The
 //! cacher guarantees the two files have the same row count and row-group
-//! boundaries, so rows are stitched positionally — no join.
+//! boundaries, so rows are stitched positionally — no join. The stitch
+//! costs nothing per row: a split's batch is the raw column chunks followed
+//! by the cache column chunks (`BatchData::Columns`, the form the plain
+//! Norc provider returns), and the executor's pipeline builds cells late,
+//! only for the rows and columns the query needs. `bytes_read` is charged
+//! per decoded chunk on both sides, as for a plain Norc scan.
 //!
 //! When the predicate constrains a cached JSONPath, the SARG is evaluated
 //! against the cache file's row-group statistics; the resulting keep/skip
@@ -23,9 +28,9 @@
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, BatchData, ScanProvider};
 use maxson_obs::Tracer;
-use maxson_storage::{Cell, Schema, SearchArgument, Table};
+use maxson_storage::{Schema, SearchArgument, Table};
 
 /// Scan provider combining a raw table with its cache table.
 #[derive(Debug)]
@@ -90,14 +95,6 @@ impl ScanProvider for CombinedScanProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
-        let mut rows: Vec<Vec<Cell>> = Vec::new();
-        for split in 0..self.split_count() {
-            rows.extend(self.scan_split(split, metrics)?);
-        }
-        Ok(rows)
-    }
-
     fn split_count(&self) -> usize {
         // Cache files are written one per raw file, so the cache file count
         // IS the split count (and covers cache-only scans too).
@@ -109,13 +106,12 @@ impl ScanProvider for CombinedScanProvider {
     /// single split task is what lets the split-parallel executor fan scans
     /// out without touching Algorithm 2 (positional stitch) or Algorithm 3
     /// (shared SARG skips): both stay split-local.
-    fn scan_split(
+    fn scan_split_batch(
         &self,
         split: usize,
         metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    ) -> maxson_engine::Result<Batch> {
         let start = Instant::now();
-        let mut rows: Vec<Vec<Cell>> = Vec::new();
         let (cache_file, cache_meta_hit) =
             self.cache.open_split_cached(split).map_err(engine_err)?;
         charge_meta_open(metrics, cache_meta_hit);
@@ -130,102 +126,81 @@ impl ScanProvider for CombinedScanProvider {
             }
         });
 
-        if self.is_cache_only() {
-            let keep = cache_keep;
-            count_rg(metrics, &keep, cache_file.row_group_count());
-            let cols = cache_file
-                .read_columns(&self.cache_projection, keep.as_deref())
-                .map_err(engine_err)?;
-            let n = cols.first().map_or(0, |c| c.len());
-            for i in 0..n {
-                let row: Vec<Cell> = cols.iter().map(|c| c.get(i)).collect();
-                metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-                metrics.cache_hits += self.cache_projection.len() as u64;
-                rows.push(row);
-            }
-            metrics.rows_scanned += rows.len() as u64;
-            let spent = start.elapsed();
-            metrics.read += spent;
-            metrics.read_wall += spent;
-            self.tracer
-                .add("combiner.cache_only_rows", rows.len() as u64);
-            return Ok(rows);
-        }
-
-        let raw_table = self.raw.as_ref().expect("raw table present");
-        let (raw_file, raw_meta_hit) = raw_table.open_split_cached(split).map_err(engine_err)?;
-        charge_meta_open(metrics, raw_meta_hit);
-
-        // The alignment invariant of §IV-C. If it does not hold (e.g.
-        // the raw table changed underneath us) fail loudly rather than
-        // stitch misaligned rows.
-        if raw_file.num_rows() != cache_file.num_rows() {
-            return Err(maxson_engine::EngineError::exec(format!(
-                "cache misalignment on split {split}: raw has {} rows, cache has {}",
-                raw_file.num_rows(),
-                cache_file.num_rows()
-            )));
-        }
-
-        // Combine keep arrays. Sharing requires identical row-group
-        // boundaries; otherwise fall back to reading everything.
-        let aligned_groups = raw_file.row_group_count() == cache_file.row_group_count()
-            && raw_file.stripe_count() <= 1
-            && cache_file.stripe_count() <= 1;
-        let raw_keep: Option<Vec<bool>> = self.raw_sarg.as_ref().map(|sarg| {
-            if raw_file.stripe_count() <= 1 {
-                sarg.keep_array(raw_file.row_groups())
-            } else {
-                vec![true; raw_file.row_group_count()]
-            }
-        });
-        let shared_keep: Option<Vec<bool>> = if aligned_groups {
-            match (&raw_keep, &cache_keep) {
-                (Some(r), Some(c)) => Some(r.iter().zip(c).map(|(a, b)| *a && *b).collect()),
-                (Some(r), None) => Some(r.clone()),
-                (None, Some(c)) => Some(c.clone()),
-                (None, None) => None,
-            }
+        let (mut cols, keep) = if self.is_cache_only() {
+            (Vec::new(), cache_keep)
         } else {
-            // Cannot share: only the raw-side SARG can be applied, and
-            // only consistently on both readers, so read everything.
-            None
+            let raw_table = self.raw.as_ref().expect("raw table present");
+            let (raw_file, raw_meta_hit) =
+                raw_table.open_split_cached(split).map_err(engine_err)?;
+            charge_meta_open(metrics, raw_meta_hit);
+
+            // The alignment invariant of §IV-C. If it does not hold (e.g.
+            // the raw table changed underneath us) fail loudly rather than
+            // stitch misaligned rows.
+            if raw_file.num_rows() != cache_file.num_rows() {
+                return Err(maxson_engine::EngineError::exec(format!(
+                    "cache misalignment on split {split}: raw has {} rows, cache has {}",
+                    raw_file.num_rows(),
+                    cache_file.num_rows()
+                )));
+            }
+
+            // Combine keep arrays. Sharing requires identical row-group
+            // boundaries; otherwise fall back to reading everything.
+            let aligned_groups = raw_file.row_group_count() == cache_file.row_group_count()
+                && raw_file.stripe_count() <= 1
+                && cache_file.stripe_count() <= 1;
+            let raw_keep: Option<Vec<bool>> = self.raw_sarg.as_ref().map(|sarg| {
+                if raw_file.stripe_count() <= 1 {
+                    sarg.keep_array(raw_file.row_groups())
+                } else {
+                    vec![true; raw_file.row_group_count()]
+                }
+            });
+            let shared_keep: Option<Vec<bool>> = if aligned_groups {
+                match (raw_keep, cache_keep) {
+                    (Some(r), Some(c)) => Some(r.iter().zip(&c).map(|(a, b)| *a && *b).collect()),
+                    (r, c) => r.or(c),
+                }
+            } else {
+                // Cannot share: only the raw-side SARG can be applied, and
+                // only consistently on both readers, so read everything.
+                None
+            };
+            let raw_cols = raw_file
+                .read_columns(&self.raw_projection, shared_keep.as_deref())
+                .map_err(engine_err)?;
+            (raw_cols, shared_keep)
         };
-        count_rg(metrics, &shared_keep, cache_file.row_group_count());
-
-        let raw_cols = raw_file
-            .read_columns(&self.raw_projection, shared_keep.as_deref())
-            .map_err(engine_err)?;
+        count_rg(metrics, &keep, cache_file.row_group_count());
         let cache_cols = cache_file
-            .read_columns(&self.cache_projection, shared_keep.as_deref())
+            .read_columns(&self.cache_projection, keep.as_deref())
             .map_err(engine_err)?;
-        let n = raw_cols
-            .first()
-            .map(|c| c.len())
-            .or_else(|| cache_cols.first().map(|c| c.len()))
-            .unwrap_or(0);
 
-        // Algorithm 2: positional stitch of the two readers' outputs
-        // into the output schema (raw fields then cache fields).
-        for i in 0..n {
-            let mut row: Vec<Cell> =
-                Vec::with_capacity(self.raw_projection.len() + self.cache_projection.len());
-            for c in &raw_cols {
-                row.push(c.get(i));
-            }
-            for c in &cache_cols {
-                row.push(c.get(i));
-            }
-            metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-            metrics.cache_hits += self.cache_projection.len() as u64;
-            rows.push(row);
+        // Algorithm 2: positional stitch. Both readers decoded the same
+        // rows, so the output is simply the raw chunks followed by the
+        // cache chunks (the output schema's order); cells are built later,
+        // only for the rows and columns the pipeline needs.
+        cols.extend(cache_cols);
+        let n = cols.first().map_or(0, |c| c.len());
+        for c in &cols {
+            metrics.bytes_read += c.byte_size() as u64;
         }
-        metrics.rows_scanned += rows.len() as u64;
+        metrics.cache_hits += (n * self.cache_projection.len()) as u64;
+        metrics.rows_scanned += n as u64;
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        self.tracer.add("combiner.stitched_rows", rows.len() as u64);
-        Ok(rows)
+        let counter = if self.is_cache_only() {
+            "combiner.cache_only_rows"
+        } else {
+            "combiner.stitched_rows"
+        };
+        self.tracer.add(counter, n as u64);
+        Ok(Batch {
+            data: BatchData::Columns(cols),
+            selection: None,
+        })
     }
 
     fn label(&self) -> String {
@@ -273,8 +248,13 @@ fn engine_err(e: maxson_storage::StorageError) -> maxson_engine::EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxson_engine::exec::{execute_plan_with, ExecOptions};
+    use maxson_engine::expr::{Expr, JsonParserKind};
+    use maxson_engine::scan::scan_rows;
+    use maxson_engine::sql::BinaryOp;
+    use maxson_engine::LogicalPlan;
     use maxson_storage::file::WriteOptions;
-    use maxson_storage::{CmpOp, ColumnType, Field};
+    use maxson_storage::{Cell, CmpOp, ColumnType, Field};
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -339,7 +319,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], cache, vec![0], out_schema(), None, None);
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 40);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row[0], Cell::Int(i as i64));
@@ -367,7 +347,7 @@ mod tests {
             Some(sarg),
         );
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // Row group size 5, 4 groups per file, 2 files = 8 shared groups.
         // Only file 1's last group ([35..39], va 350..390) survives.
         assert_eq!(m.row_groups_read, 1);
@@ -393,7 +373,7 @@ mod tests {
             Some(cache_sarg),
         );
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // id < 10 AND va >= 50 -> ids 5..9 (row group [5..9]).
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0][0], Cell::Int(5));
@@ -408,7 +388,7 @@ mod tests {
         let p = CombinedScanProvider::new(None, vec![], cache, vec![0], schema, None, None);
         assert!(p.is_cache_only());
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 40);
         assert_eq!(m.cache_hits, 40);
         assert!(p.label().contains("cache-only"));
@@ -417,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn split_scan_concatenation_matches_whole_scan() {
+    fn one_split_per_file_pair() {
         let (raw, cache, rd, cd) = setup("splitpair");
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(150));
         let p = CombinedScanProvider::new(
@@ -430,18 +410,101 @@ mod tests {
             Some(sarg),
         );
         assert_eq!(p.split_count(), 2);
-        let mut whole_m = ExecMetrics::default();
-        let whole = p.scan(&mut whole_m).unwrap();
         let mut split_m = ExecMetrics::default();
-        let mut stitched = Vec::new();
-        for s in 0..p.split_count() {
-            stitched.extend(p.scan_split(s, &mut split_m).unwrap());
-        }
-        assert_eq!(stitched, whole);
+        // va >= 150 keeps the last row group of file 0 and all of file 1.
+        let lens: Vec<usize> = (0..p.split_count())
+            .map(|s| p.scan_split_batch(s, &mut split_m).unwrap().len())
+            .collect();
+        assert_eq!(lens, vec![5, 20]);
+        let mut whole_m = ExecMetrics::default();
+        let whole = scan_rows(&p, &mut whole_m).unwrap();
+        assert_eq!(whole.len(), 25);
+        assert_eq!(whole[0][0], Cell::Int(15));
         assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
         assert_eq!(split_m.row_groups_skipped, whole_m.row_groups_skipped);
         assert_eq!(split_m.row_groups_read, whole_m.row_groups_read);
         assert_eq!(split_m.cache_hits, whole_m.cache_hits);
+        std::fs::remove_dir_all(rd).ok();
+        std::fs::remove_dir_all(cd).ok();
+    }
+
+    /// Combined scans hand the pipeline decoded chunks, raw before cache,
+    /// exactly like a plain Norc scan: bytes are charged per chunk and
+    /// cells are built late, so rows a raw-column filter rejects only
+    /// materialize the predicate's cell.
+    #[test]
+    fn combined_scan_is_columnar_with_late_materialization() {
+        let (raw, cache, rd, cd) = setup("columnar");
+        let schema = Schema::new(vec![
+            Field::new("id", ColumnType::Int64),
+            Field::new("payload", ColumnType::Utf8),
+            Field::new("va", ColumnType::Utf8),
+        ])
+        .unwrap();
+        let p = CombinedScanProvider::new(
+            Some(raw.clone()),
+            vec![0, 1],
+            cache.clone(),
+            vec![0],
+            schema,
+            None,
+            None,
+        );
+        let mut m = ExecMetrics::default();
+        let batch = p.scan_split_batch(0, &mut m).unwrap();
+        let BatchData::Columns(cols) = &batch.data else {
+            panic!("combined scan must be columnar");
+        };
+        assert_eq!(cols.len(), 3);
+        assert_eq!(cols[0].get(3), Cell::Int(3));
+        assert_eq!(cols[1].get(3), Cell::from("{\"a\":30}"));
+        assert_eq!(cols[2].get(3), Cell::from("30"));
+        assert_eq!(m.cells_materialized, 0);
+        assert_eq!(m.cache_hits, 20);
+
+        // bytes_read is the decoded chunks' size, not a per-cell sum.
+        let mut chunk_bytes = 0;
+        for s in 0..2 {
+            for (table, projection) in [(&raw, vec![0, 1]), (&cache, vec![0])] {
+                let file = table.open_split(s).unwrap();
+                for c in file.read_columns(&projection, None).unwrap() {
+                    chunk_bytes += c.byte_size() as u64;
+                }
+            }
+        }
+        let mut scan_m = ExecMetrics::default();
+        let rows = scan_rows(&p, &mut scan_m).unwrap();
+        assert_eq!(rows.len(), 40);
+        assert_eq!(scan_m.bytes_read, chunk_bytes);
+
+        // id >= 35 keeps 5 of 40 rows: 35 rejected rows build only `id`.
+        let plan = LogicalPlan::Filter {
+            predicate: Expr::Binary {
+                left: Box::new(Expr::Column(0)),
+                op: BinaryOp::GtEq,
+                right: Box::new(Expr::Literal(Cell::Int(35))),
+            },
+            input: Box::new(LogicalPlan::Scan {
+                provider: Box::new(p),
+            }),
+        };
+        let mut fm = ExecMetrics::default();
+        let out = execute_plan_with(
+            &plan,
+            JsonParserKind::Jackson,
+            &mut fm,
+            ExecOptions::serial(),
+        )
+        .unwrap();
+        assert_eq!(out.len(), 5);
+        assert_eq!(
+            out[0],
+            vec![Cell::Int(35), Cell::from("{\"a\":350}"), Cell::from("350")]
+        );
+        assert_eq!(fm.cells_materialized, 40 + 5 * 2);
+        assert!(fm.cells_materialized < 40 * 3);
+        assert_eq!(fm.batch_rows_skipped, 35);
+        assert_eq!(fm.bytes_read, chunk_bytes);
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
     }
@@ -459,7 +522,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], bad, vec![0], out_schema(), None, None);
         let mut m = ExecMetrics::default();
-        let err = p.scan(&mut m).unwrap_err();
+        let err = scan_rows(&p, &mut m).unwrap_err();
         assert!(err.to_string().contains("misalignment"));
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
@@ -506,7 +569,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], cache, vec![0], schema, None, Some(sarg));
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 20, "no skipping on multi-stripe files");
         assert_eq!(m.row_groups_skipped, 0);
         std::fs::remove_dir_all(rd).ok();

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_obs::Tracer;
 use maxson_storage::{Cell, Schema, Table};
 
@@ -91,7 +91,13 @@ impl ScanProvider for JoinStitchProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    /// The whole join is one split: both sides are materialized in full
+    /// before any row can be matched.
+    fn scan_split_batch(
+        &self,
+        _split: usize,
+        metrics: &mut ExecMetrics,
+    ) -> maxson_engine::Result<Batch> {
         let start = Instant::now();
         // Materialize both sides in full.
         let raw_rows = read_all(&self.raw, &self.raw_projection, metrics)?;
@@ -124,7 +130,7 @@ impl ScanProvider for JoinStitchProvider {
         metrics.read += spent;
         metrics.read_wall += spent;
         self.tracer.add("join_stitch.joined_rows", out.len() as u64);
-        Ok(out)
+        Ok(Batch::from_rows(out))
     }
 
     fn label(&self) -> String {
@@ -139,6 +145,7 @@ impl ScanProvider for JoinStitchProvider {
 mod tests {
     use super::*;
     use crate::combiner::CombinedScanProvider;
+    use maxson_engine::scan::scan_rows;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field};
     use std::path::PathBuf;
@@ -206,8 +213,8 @@ mod tests {
         let join = JoinStitchProvider::new(raw, vec![0], cache, vec![0], out_schema());
         let mut m1 = ExecMetrics::default();
         let mut m2 = ExecMetrics::default();
-        let a = combiner.scan(&mut m1).unwrap();
-        let b = join.scan(&mut m2).unwrap();
+        let a = scan_rows(&combiner, &mut m1).unwrap();
+        let b = scan_rows(&join, &mut m2).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.len(), 45);
         assert_eq!(b[44], vec![Cell::Int(44), Cell::Str("44".into())]);
@@ -225,7 +232,7 @@ mod tests {
             .unwrap();
         let join = JoinStitchProvider::new(raw, vec![0], bad, vec![0], out_schema());
         let mut m = ExecMetrics::default();
-        assert!(join.scan(&mut m).is_err());
+        assert!(scan_rows(&join, &mut m).is_err());
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
         std::fs::remove_dir_all(bad_dir).ok();

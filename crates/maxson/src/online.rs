@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
@@ -197,7 +197,13 @@ impl ScanProvider for LruBackedProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    /// The whole table is one split: each JSON call is served (or parsed
+    /// and inserted) as one column covering every file.
+    fn scan_split_batch(
+        &self,
+        _split: usize,
+        metrics: &mut ExecMetrics,
+    ) -> maxson_engine::Result<Batch> {
         let span = self.tracer.span("lru_scan");
         span.attr("table", format!("{}.{}", self.database, self.table_name));
         let read_start = Instant::now();
@@ -360,7 +366,7 @@ impl ScanProvider for LruBackedProvider {
         }
         metrics.rows_scanned += rows.len() as u64;
         span.attr("rows_out", rows.len());
-        Ok(rows)
+        Ok(Batch::from_rows(rows))
     }
 
     fn label(&self) -> String {

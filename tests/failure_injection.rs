@@ -370,7 +370,7 @@ fn property_mutated_payloads_error_never_panic() {
 // ---------------------------------------------------------------------
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR};
 use maxson_server::{Client, Server, ServerConfig};
@@ -502,17 +502,14 @@ impl ScanProvider for AlwaysPanicProvider {
     fn schema(&self) -> &Schema {
         &self.schema
     }
-    fn scan(&self, _metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
-        panic!("poisoned provider");
-    }
     fn split_count(&self) -> usize {
         4
     }
-    fn scan_split(
+    fn scan_split_batch(
         &self,
         _split: usize,
         _metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    ) -> maxson_engine::Result<Batch> {
         panic!("poisoned provider");
     }
     fn label(&self) -> String {

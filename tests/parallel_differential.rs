@@ -22,7 +22,7 @@
 use maxson::rewriter::MaxsonScanRewriter;
 use maxson_datagen::NobenchGenerator;
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
@@ -357,25 +357,18 @@ impl ScanProvider for PoisonedProvider {
     fn schema(&self) -> &Schema {
         &self.schema
     }
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
-        let mut rows = Vec::new();
-        for s in 0..self.splits {
-            rows.extend(self.scan_split(s, metrics)?);
-        }
-        Ok(rows)
-    }
     fn split_count(&self) -> usize {
         self.splits
     }
-    fn scan_split(
+    fn scan_split_batch(
         &self,
         split: usize,
         _metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    ) -> maxson_engine::Result<Batch> {
         if split == self.poisoned {
             panic!("poisoned split payload");
         }
-        Ok(vec![vec![Cell::Int(split as i64)]])
+        Ok(Batch::from_rows(vec![vec![Cell::Int(split as i64)]]))
     }
     fn label(&self) -> String {
         "PoisonedProvider".into()
@@ -465,10 +458,24 @@ fn empty_table_does_not_engage_the_pool() {
         .catalog_mut()
         .create_table("db", "t", schema, 0)
         .unwrap();
-    session.set_threads(Some(8));
-    let result = session.execute("select id from db.t").unwrap();
-    assert!(result.rows.is_empty());
-    assert_eq!(result.metrics.threads_used, 0);
-    assert_eq!(result.metrics.par_tasks, 0);
+    // A table with no part files has zero splits: a global aggregate still
+    // yields its one row, a grouped one none, at any thread count.
+    for threads in [1, 8] {
+        session.set_threads(Some(threads));
+        let result = session.execute("select id from db.t").unwrap();
+        assert!(result.rows.is_empty());
+        assert_eq!(result.metrics.threads_used, 0);
+        assert_eq!(result.metrics.par_tasks, 0);
+        let global = session
+            .execute("select count(*), sum(id) from db.t")
+            .unwrap();
+        assert_eq!(global.rows, vec![vec![Cell::Int(0), Cell::Null]]);
+        assert_eq!(global.metrics.threads_used, 0);
+        let grouped = session
+            .execute("select id, count(*) from db.t group by id")
+            .unwrap();
+        assert!(grouped.rows.is_empty());
+        assert_eq!(grouped.metrics.threads_used, 0);
+    }
     std::fs::remove_dir_all(&root).ok();
 }
