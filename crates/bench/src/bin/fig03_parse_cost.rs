@@ -76,12 +76,15 @@ fn main() {
     let mut parse_series = Series::new("parse share");
     let mut read_series = Series::new("read share");
     let mut compute_series = Series::new("compute share");
+    // Shares of the wall clock: read_wall + parse_wall + compute_wall is
+    // the query's total at any thread count (the cross-task sums
+    // `read`/`parse` would exceed it under parallel execution).
     for (name, sql) in queries {
-        let result = session.execute(sql).expect("query");
-        let total = result.metrics.total.as_secs_f64().max(1e-12);
-        parse_series.push(name, result.metrics.parse.as_secs_f64() / total);
-        read_series.push(name, result.metrics.read.as_secs_f64() / total);
-        compute_series.push(name, result.metrics.compute().as_secs_f64() / total);
+        let m = session.execute(sql).expect("query").metrics;
+        let total = m.total.as_secs_f64().max(1e-12);
+        parse_series.push(name, m.parse_wall.as_secs_f64() / total);
+        read_series.push(name, m.read_wall.as_secs_f64() / total);
+        compute_series.push(name, m.compute_wall().as_secs_f64() / total);
     }
     report.add(parse_series);
     report.add(read_series);

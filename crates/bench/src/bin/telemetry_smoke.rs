@@ -3,16 +3,18 @@
 //! Replays the golden ten-query workload against a fresh metric registry
 //! with a query log installed, and fails (non-zero exit) unless:
 //!
-//! * every registry work counter settles exactly equal to the sum of the
-//!   per-query `ExecMetrics` the engine returned (telemetry loses and
-//!   invents nothing),
+//! * every summed count of the `ExecMetrics` table settles in the registry
+//!   exactly equal to the sum of the per-query `ExecMetrics` the engine
+//!   returned (telemetry loses and invents nothing),
 //! * the Prometheus text exposition is well-formed — every line is a
 //!   `# TYPE` comment or a `name{labels} value` sample with a finite
 //!   numeric value,
 //! * a second identical replay on a second fresh registry produces a
 //!   byte-identical exposition once wall-time series are filtered out,
-//! * the query log holds exactly one parseable JSONL line per query, with
-//!   counter sums matching, and plan fingerprints stable across replays,
+//! * the query log holds exactly one parseable JSONL line per query, each
+//!   line's `counters` keys are exactly the table's summed metrics, the
+//!   logged counts sum to the same totals, and plan fingerprints are stable
+//!   across replays,
 //! * the TCP server round-trips: STATS carries the kernel/skip counters
 //!   and the METRICS opcode returns an exposition naming the server's own
 //!   series.
@@ -21,6 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use maxson_bench::{bench_root, fresh_session, load_tables};
+use maxson_engine::metrics::{counter_series, Merge, MetricValue};
 use maxson_engine::{ExecMetrics, Registry, Session};
 use maxson_server::{Client, Server, ServerConfig};
 
@@ -98,30 +101,23 @@ fn main() {
     std::fs::create_dir_all(&results_dir).expect("results dir");
     let log_path = results_dir.join("telemetry_smoke.qlog.jsonl");
 
-    // 1. Replay and settle: registry counters == summed ExecMetrics.
+    // 1. Replay and settle: every summed count of the table has a registry
+    //    counter equal to the summed ExecMetrics.
     let (registry, summed, fingerprints, n_queries) = replay(&log_path);
-    let counter = |name: &str| {
-        registry
-            .counter_value(name, &[])
-            .unwrap_or_else(|| panic!("counter {name} missing"))
-    };
-    let expectations = [
-        ("maxson_rows_scanned_total", summed.rows_scanned),
-        ("maxson_bytes_read_total", summed.bytes_read),
-        ("maxson_parse_calls_total", summed.parse_calls),
-        ("maxson_docs_parsed_total", summed.docs_parsed),
-        ("maxson_cache_hits_total", summed.cache_hits),
-        ("maxson_lru_hits_total", summed.lru_hits),
-        ("maxson_lru_misses_total", summed.lru_misses),
-        ("maxson_nodes_skipped_total", summed.nodes_skipped),
-        ("maxson_bitmap_builds_total", summed.bitmap_builds),
-        ("maxson_bitmap_bytes_total", summed.bitmap_bytes),
-    ];
-    for (name, want) in expectations {
-        let got = counter(name);
+    let mut settled: Vec<(&'static str, u64)> = Vec::new();
+    summed.visit(|def, value| {
+        if let (Merge::Sum, MetricValue::Count(n)) = (def.merge, value) {
+            settled.push((def.name, n));
+        }
+    });
+    for &(name, want) in &settled {
+        let series = counter_series(name);
+        let got = registry
+            .counter_value(&series, &[])
+            .unwrap_or_else(|| panic!("counter {series} missing"));
         assert_eq!(
             got, want,
-            "{name} settled at {got}, ExecMetrics sum is {want}"
+            "{series} settled at {got}, ExecMetrics sum is {want}"
         );
     }
     assert_eq!(
@@ -136,28 +132,42 @@ fn main() {
     assert!(exposition.contains("# TYPE maxson_queries_total counter"));
     assert!(exposition.contains("maxson_hot_path_extracts{"));
 
-    // 3. Query log: one line per query, counters match, fingerprints
-    //    deterministic across a second replay.
+    // 3. Query log: one line per query whose `counters` keys are exactly
+    //    the table's summed metrics, counts summing to the settled totals,
+    //    fingerprints deterministic across a second replay.
     assert_eq!(
         fingerprints.len(),
         n_queries,
         "query log holds one line per query"
     );
+    let table_keys: Vec<String> = ExecMetrics::default()
+        .counters()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
     let log_text = std::fs::read_to_string(&log_path).expect("query log");
-    let mut logged_parse_calls = 0u64;
+    let mut logged: BTreeMap<String, u64> = BTreeMap::new();
     for line in log_text.lines() {
         let v = maxson_json::parse(line).expect("log line parses");
-        logged_parse_calls += v
-            .get("counters")
-            .and_then(|c| c.get("parse_calls"))
-            .and_then(|x| x.as_i64())
-            .expect("counters.parse_calls") as u64;
+        let Some(maxson_json::JsonValue::Object(counters)) = v.get("counters") else {
+            panic!("log line without a counters object: {line}");
+        };
+        let keys: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys, table_keys,
+            "query-log counters drifted from the table"
+        );
+        for (k, x) in counters {
+            *logged.entry(k.clone()).or_insert(0) += x.as_i64().expect("integer counter") as u64;
+        }
         assert_eq!(v.get("slow").and_then(|s| s.as_bool()), Some(false));
     }
-    assert_eq!(
-        logged_parse_calls, summed.parse_calls,
-        "logged counter sums"
-    );
+    for &(name, want) in &settled {
+        assert_eq!(
+            logged[name], want,
+            "logged {name} sums to the settled total"
+        );
+    }
 
     let (registry2, _, fingerprints2, _) = replay(&log_path);
     assert_eq!(fingerprints, fingerprints2, "plan fingerprints are stable");
@@ -193,11 +203,12 @@ fn main() {
 
     println!(
         "telemetry_smoke OK: {n_queries} queries settled {} counters exactly, \
-         {} exposition bytes validated, {} log lines, server STATS kernel={} \
-         nodes_skipped={} ({} served rows)",
-        expectations.len(),
+         {} exposition bytes validated, {} log lines of {} counters, server \
+         STATS kernel={} nodes_skipped={} ({} served rows)",
+        settled.len(),
         exposition.len(),
         fingerprints.len(),
+        table_keys.len(),
         stats.simd_kernel,
         stats.nodes_skipped,
         counts.values().sum::<usize>(),

@@ -11,24 +11,7 @@
 
 use maxson_bench::workload::session_for;
 use maxson_bench::{load_tables, SystemKind};
-use maxson_engine::ExecMetrics;
 use maxson_json::JsonValue;
-
-fn counter_pairs(m: &ExecMetrics) -> Vec<(&'static str, u64)> {
-    vec![
-        ("rows_scanned", m.rows_scanned),
-        ("bytes_read", m.bytes_read),
-        ("parse_calls", m.parse_calls),
-        ("docs_parsed", m.docs_parsed),
-        ("cache_hits", m.cache_hits),
-        ("row_groups_skipped", m.row_groups_skipped),
-        ("row_groups_read", m.row_groups_read),
-        ("prefilter_dropped", m.prefilter_dropped),
-        ("lru_hits", m.lru_hits),
-        ("lru_misses", m.lru_misses),
-        ("lru_evictions", m.lru_evictions),
-    ]
-}
 
 fn main() {
     let queries = load_tables();
@@ -47,17 +30,17 @@ fn main() {
     traced_session.set_trace_path(Some(trace_path.clone()));
     let traced = traced_session.execute(&q.sql).expect("traced run");
 
-    // 1. Zero-cost contract: identical rows and identical counters.
+    // 1. Zero-cost contract: identical rows and identical work counters.
     assert_eq!(
         untraced.rows, traced.rows,
         "tracing changed query output rows"
     );
-    for ((name, a), (_, b)) in counter_pairs(&untraced.metrics)
-        .iter()
-        .zip(counter_pairs(&traced.metrics).iter())
-    {
-        assert_eq!(a, b, "tracing changed counter {name}: {a} vs {b}");
-    }
+    let counters = traced.metrics.work_counters();
+    assert_eq!(
+        untraced.metrics.work_counters(),
+        counters,
+        "tracing changed work counters"
+    );
 
     // 2. The export is well-formed Chrome trace JSON.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
@@ -96,7 +79,7 @@ fn main() {
         "trace_smoke OK: {} rows identical, {} counters identical, \
          {} spans ({} nested) across {} thread tracks -> {}",
         traced.rows.len(),
-        counter_pairs(&traced.metrics).len(),
+        counters.len(),
         spans.len(),
         nested,
         thread_tracks,

@@ -8,11 +8,14 @@
 //! {"fingerprint":"9f86d081884c7d65","sql":"select ...","parser":"tape",
 //!  "simd":"avx2","mmap":true,"threads":4,"shared_parse":true,"epoch":2,
 //!  "reuse":"miss","rows":100,"wall_us":1234,"planning_us":88,"slow":false,
-//!  "counters":{"rows_scanned":100,"bytes_read":5120,"parse_calls":300,
-//!   "docs_parsed":100,"cache_hits":0,"lru_hits":0,"lru_misses":0,
-//!   "nodes_skipped":40,"bitmap_builds":100,"bitmap_build_wall_us":52,
-//!   "meta_cache_hits":1,"meta_cache_misses":0}}
+//!  "counters":{"read_us":310,"parse_us":702,"read_wall_us":310,
+//!   "parse_wall_us":702,"rows_scanned":100,"bytes_read":5120,
+//!   "parse_calls":300,"docs_parsed":100,...,"reuse_fills":0}}
 //! ```
+//!
+//! `counters` holds every summed metric of the [`ExecMetrics`] table
+//! ([`ExecMetrics::counters`]): counts under their field name, durations
+//! in microseconds under `<name>_us`.
 //!
 //! The `fingerprint` is [`crate::fingerprint::stmt_fingerprint`]: FNV-1a
 //! over the canonical normalized statement text (alias/whitespace
@@ -108,23 +111,13 @@ impl QueryLog {
     /// Append one line for a finished query.
     pub fn record(&self, entry: &QueryLogEntry<'_>, metrics: &ExecMetrics) -> Result<()> {
         let n = |v: u64| JsonValue::Number(JsonNumber::Int(v as i64));
-        let counters = JsonValue::object(vec![
-            ("rows_scanned".into(), n(metrics.rows_scanned)),
-            ("bytes_read".into(), n(metrics.bytes_read)),
-            ("parse_calls".into(), n(metrics.parse_calls)),
-            ("docs_parsed".into(), n(metrics.docs_parsed)),
-            ("cache_hits".into(), n(metrics.cache_hits)),
-            ("lru_hits".into(), n(metrics.lru_hits)),
-            ("lru_misses".into(), n(metrics.lru_misses)),
-            ("nodes_skipped".into(), n(metrics.nodes_skipped)),
-            ("bitmap_builds".into(), n(metrics.bitmap_builds)),
-            (
-                "bitmap_build_wall_us".into(),
-                n(metrics.bitmap_build_wall.as_micros() as u64),
-            ),
-            ("meta_cache_hits".into(), n(metrics.meta_cache_hits)),
-            ("meta_cache_misses".into(), n(metrics.meta_cache_misses)),
-        ]);
+        let counters = JsonValue::object(
+            metrics
+                .counters()
+                .into_iter()
+                .map(|(name, v)| (name, n(v)))
+                .collect(),
+        );
         let line = JsonValue::object(vec![
             (
                 "fingerprint".into(),

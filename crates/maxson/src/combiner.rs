@@ -29,7 +29,6 @@ use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{Batch, BatchData, ScanProvider};
-use maxson_obs::Tracer;
 use maxson_storage::{Schema, SearchArgument, Table};
 
 /// Scan provider combining a raw table with its cache table.
@@ -51,8 +50,6 @@ pub struct CombinedScanProvider {
     raw_sarg: Option<SearchArgument>,
     /// SARG over cache table columns (Algorithm 3).
     cache_sarg: Option<SearchArgument>,
-    /// Span/counter sink; inert unless the rewriter installs a live one.
-    tracer: Tracer,
 }
 
 impl CombinedScanProvider {
@@ -75,13 +72,7 @@ impl CombinedScanProvider {
             out_schema,
             raw_sarg,
             cache_sarg,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Install the tracer stitch counters are recorded into.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Whether this scan reads only the cache table.
@@ -191,12 +182,6 @@ impl ScanProvider for CombinedScanProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        let counter = if self.is_cache_only() {
-            "combiner.cache_only_rows"
-        } else {
-            "combiner.stitched_rows"
-        };
-        self.tracer.add(counter, n as u64);
         Ok(Batch {
             data: BatchData::Columns(cols),
             selection: None,

@@ -37,36 +37,6 @@ struct LruState {
     entries: HashMap<String, LruEntry>,
     clock: u64,
     used_bytes: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Counters reported for Fig. 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LruStats {
-    /// JSONPath accesses served from the cache.
-    pub hits: u64,
-    /// Accesses that had to parse.
-    pub misses: u64,
-    /// Bytes currently resident.
-    pub used_bytes: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Entries evicted to make room since the rewriter opened.
-    pub evictions: u64,
-}
-
-impl LruStats {
-    /// Hit ratio over all accesses.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// The online LRU rewriter/baseline.
@@ -90,9 +60,9 @@ impl OnlineLruRewriter {
         }
     }
 
-    /// Record hit/miss/evict events and per-scan spans into `tracer`
-    /// (normally a clone of the session's, so LRU activity shows up in the
-    /// same trace file as the queries that caused it).
+    /// Record per-scan `lru_scan` spans into `tracer` (normally a clone of
+    /// the session's, so LRU activity shows up in the same trace file as
+    /// the queries that caused it).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -101,18 +71,6 @@ impl OnlineLruRewriter {
     /// is the process-wide [`maxson_obs::Registry::global`]).
     pub fn set_metrics_registry(&mut self, registry: Arc<maxson_obs::Registry>) {
         self.metrics = registry;
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> LruStats {
-        let s = self.state.lock().expect("lru state lock");
-        LruStats {
-            hits: s.hits,
-            misses: s.misses,
-            used_bytes: s.used_bytes,
-            entries: s.entries.len(),
-            evictions: s.evictions,
-        }
     }
 }
 
@@ -252,18 +210,14 @@ impl ScanProvider for LruBackedProvider {
                 }
             };
             if let Some(values) = hit {
-                self.state.lock().expect("lru state lock").hits += 1;
                 metrics.cache_hits += values.len() as u64;
                 metrics.lru_hits += 1;
                 metrics.charge_path_extracts(path, values.len() as u64);
-                self.tracer.add("lru.hit", 1);
                 call_columns.push(values);
                 continue;
             }
             // Miss: parse the whole column (the first query pays, §III-A).
-            self.state.lock().expect("lru state lock").misses += 1;
             metrics.lru_misses += 1;
-            self.tracer.add("lru.miss", 1);
             let col_idx = self
                 .table
                 .schema()
@@ -316,9 +270,7 @@ impl ScanProvider for LruBackedProvider {
                         .expect("non-empty");
                     if let Some(e) = st.entries.remove(&victim) {
                         st.used_bytes -= e.bytes;
-                        st.evictions += 1;
                         metrics.lru_evictions += 1;
-                        self.tracer.add("lru.evict", 1);
                     }
                 }
                 if bytes <= self.budget_bytes {
@@ -417,25 +369,15 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let (mut session, root) = setup("hits");
-        let lru = OnlineLruRewriter::new(u64::MAX);
-        let stats_handle = Arc::clone(&lru.state);
-        session.set_scan_rewriter(Some(Box::new(lru)));
+        session.set_scan_rewriter(Some(Box::new(OnlineLruRewriter::new(u64::MAX))));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
         let r1 = session.execute(sql).unwrap();
         assert_eq!(r1.rows.len(), 30);
         assert_eq!(r1.rows[5][0], Cell::Str("5".into()));
-        {
-            let st = stats_handle.lock().unwrap();
-            assert_eq!(st.misses, 1);
-            assert_eq!(st.hits, 0);
-        }
+        assert_eq!((r1.metrics.lru_misses, r1.metrics.lru_hits), (1, 0));
         let r2 = session.execute(sql).unwrap();
         assert_eq!(r2.rows, r1.rows);
-        {
-            let st = stats_handle.lock().unwrap();
-            assert_eq!(st.misses, 1);
-            assert_eq!(st.hits, 1);
-        }
+        assert_eq!((r2.metrics.lru_misses, r2.metrics.lru_hits), (0, 1));
         // The hit run performs no parsing.
         assert_eq!(r2.metrics.parse_calls, 0);
         std::fs::remove_dir_all(&root).ok();
@@ -451,31 +393,29 @@ mod tests {
         session
             .execute("select get_json_object(payload, '$.a') as a from db.t")
             .unwrap();
-        session
+        let b = session
             .execute("select get_json_object(payload, '$.b') as b from db.t")
             .unwrap();
+        assert!(b.metrics.lru_evictions >= 1, "filling $.b evicts $.a");
         {
             let st = state.lock().unwrap();
             assert!(st.entries.len() <= 1, "budget forces eviction");
             assert!(st.used_bytes <= 80);
         }
         // $.a was evicted: next access misses again.
-        session
+        let again = session
             .execute("select get_json_object(payload, '$.a') as a from db.t")
             .unwrap();
-        assert_eq!(state.lock().unwrap().misses, 3);
+        assert_eq!(again.metrics.lru_misses, 1);
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn table_update_invalidates_entries() {
         let (mut session, root) = setup("invalidate");
-        let lru = OnlineLruRewriter::new(u64::MAX);
-        let state = Arc::clone(&lru.state);
-        session.set_scan_rewriter(Some(Box::new(lru)));
+        session.set_scan_rewriter(Some(Box::new(OnlineLruRewriter::new(u64::MAX))));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
-        session.execute(sql).unwrap();
-        assert_eq!(state.lock().unwrap().misses, 1);
+        assert_eq!(session.execute(sql).unwrap().metrics.lru_misses, 1);
         // Append new data: version bump.
         session
             .catalog_mut()
@@ -492,24 +432,7 @@ mod tests {
         // invalidates the old entry.
         let r = session.execute(sql).unwrap();
         assert_eq!(r.rows.len(), 31);
-        assert_eq!(
-            state.lock().unwrap().misses,
-            2,
-            "stale entry must not be served"
-        );
+        assert_eq!(r.metrics.lru_misses, 1, "stale entry must not be served");
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn hit_ratio_math() {
-        let s = LruStats {
-            hits: 3,
-            misses: 1,
-            used_bytes: 0,
-            entries: 0,
-            evictions: 0,
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(LruStats::default().hit_ratio(), 0.0);
     }
 }

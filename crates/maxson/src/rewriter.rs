@@ -28,19 +28,6 @@ use maxson_trace::JsonPathLocation;
 use crate::cacher::{CacheRegistry, CACHE_DB};
 use crate::combiner::CombinedScanProvider;
 
-/// Statistics of one rewriter lifetime (per session installation).
-#[derive(Debug, Default, Clone)]
-pub struct RewriteStats {
-    /// JSONPath calls replaced by placeholders.
-    pub hits: u64,
-    /// JSONPath calls left to parse (not cached).
-    pub misses: u64,
-    /// Cache entries found stale (table modified after caching).
-    pub invalidated: u64,
-    /// Scans converted to cache-only reads.
-    pub cache_only_scans: u64,
-}
-
 /// The rewriter. Holds its own read-only catalog handle (opened from the
 /// same warehouse root the session uses) for the cache tables, plus the
 /// cache registry. The raw side comes from the planning snapshot
@@ -52,10 +39,9 @@ pub struct MaxsonScanRewriter {
     /// `rewrite_scan` takes `&self`, and sessions share the rewriter across
     /// threads, so these are mutexes rather than cells).
     invalid: Mutex<Vec<JsonPathLocation>>,
-    stats: Mutex<RewriteStats>,
     /// Enable Algorithm 3 pushdown (ablation switch).
     pub enable_pushdown: bool,
-    /// Span/counter sink for rewrite decisions; inert unless installed.
+    /// Span sink for rewrite decisions; inert unless installed.
     tracer: Tracer,
     /// Process-wide metric registry rewrite outcomes are charged to.
     metrics: Arc<Registry>,
@@ -71,7 +57,6 @@ impl MaxsonScanRewriter {
             catalog,
             registry,
             invalid: Mutex::new(Vec::new()),
-            stats: Mutex::new(RewriteStats::default()),
             enable_pushdown: true,
             tracer: Tracer::disabled(),
             metrics: Arc::clone(Registry::global()),
@@ -84,17 +69,14 @@ impl MaxsonScanRewriter {
             catalog,
             registry,
             invalid: Mutex::new(Vec::new()),
-            stats: Mutex::new(RewriteStats::default()),
             enable_pushdown: true,
             tracer: Tracer::disabled(),
             metrics: Arc::clone(Registry::global()),
         }
     }
 
-    /// Install the tracer rewrite decisions are recorded into (normally a
-    /// clone of the session's). The installed tracer is also threaded into
-    /// every combined provider this rewriter builds, so stitch counters
-    /// land in the same trace.
+    /// Install the tracer rewrite decisions are recorded into as
+    /// `maxson_rewrite` spans (normally a clone of the session's).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -108,11 +90,6 @@ impl MaxsonScanRewriter {
     /// Locations marked invalid so far.
     pub fn invalidated(&self) -> Vec<JsonPathLocation> {
         self.invalid.lock().expect("rewriter invalid lock").clone()
-    }
-
-    /// Rewrite statistics so far.
-    pub fn stats(&self) -> RewriteStats {
-        self.stats.lock().expect("rewriter stats lock").clone()
     }
 }
 
@@ -130,7 +107,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         let raw_schema = ctx.raw_table.schema();
 
         // Classify each call: valid hit, stale, or miss (Alg. 1 lines 14-23).
-        let invalidated_before = self.stats.lock().expect("rewriter stats lock").invalidated;
+        let mut stale = 0u64;
         let mut resolved: Vec<((String, String), String)> = Vec::new();
         let mut unresolved: Vec<(String, String)> = Vec::new();
         let mut cache_table_name: Option<String> = None;
@@ -144,7 +121,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
                             .lock()
                             .expect("rewriter invalid lock")
                             .push(loc);
-                        self.stats.lock().expect("rewriter stats lock").invalidated += 1;
+                        stale += 1;
                         unresolved.push((column.clone(), path.clone()));
                     } else {
                         cache_table_name = Some(entry.cache_table.clone());
@@ -154,16 +131,6 @@ impl TableScanRewriter for MaxsonScanRewriter {
                 None => unresolved.push((column.clone(), path.clone())),
             }
         }
-        {
-            let mut stats = self.stats.lock().expect("rewriter stats lock");
-            stats.hits += resolved.len() as u64;
-            stats.misses += unresolved.len() as u64;
-        }
-        let stale =
-            self.stats.lock().expect("rewriter stats lock").invalidated - invalidated_before;
-        self.tracer.add("rewrite.hits", resolved.len() as u64);
-        self.tracer.add("rewrite.misses", unresolved.len() as u64);
-        self.tracer.add("rewrite.invalidated", stale);
         let outcome = |o: &str| {
             self.metrics
                 .counter("maxson_rewrite_paths_total", &[("outcome", o)])
@@ -247,20 +214,13 @@ impl TableScanRewriter for MaxsonScanRewriter {
         };
 
         let cache_only = raw_projection.is_empty();
-        if cache_only {
-            self.stats
-                .lock()
-                .expect("rewriter stats lock")
-                .cache_only_scans += 1;
-            self.tracer.add("rewrite.cache_only_scans", 1);
-        }
         let decision = if cache_only { "cache_only" } else { "combined" };
         span.attr("decision", decision);
         self.metrics
             .counter("maxson_scan_rewrites_total", &[("decision", decision)])
             .inc();
         let raw = (!cache_only).then(|| ctx.raw_table.clone());
-        let mut provider = CombinedScanProvider::new(
+        let provider = CombinedScanProvider::new(
             raw,
             raw_projection,
             cache_table,
@@ -269,7 +229,6 @@ impl TableScanRewriter for MaxsonScanRewriter {
             raw_sarg,
             cache_sarg,
         );
-        provider.set_tracer(self.tracer.clone());
         Ok(Some(ScanRewrite {
             provider: Box::new(provider),
             resolved_paths: resolved,
@@ -515,12 +474,26 @@ mod tests {
         (session, root)
     }
 
+    /// A rewriter over `root` charging a fresh registry, plus that registry.
+    fn probe_rewriter(root: &PathBuf) -> (MaxsonScanRewriter, Arc<Registry>) {
+        let mut rewriter = MaxsonScanRewriter::open(root).unwrap();
+        let registry = Arc::new(Registry::new());
+        rewriter.set_metrics_registry(Arc::clone(&registry));
+        (rewriter, registry)
+    }
+
+    fn paths(registry: &Registry, outcome: &str) -> Option<u64> {
+        registry.counter_value("maxson_rewrite_paths_total", &[("outcome", outcome)])
+    }
+
+    fn scans(registry: &Registry, decision: &str) -> Option<u64> {
+        registry.counter_value("maxson_scan_rewrites_total", &[("decision", decision)])
+    }
+
     #[test]
-    fn stats_track_hits_misses_and_cache_only() {
+    fn registry_tracks_hits_misses_and_cache_only() {
         let (mut session, root) = setup("stats");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-        let stats_probe = rewriter.stats();
-        assert_eq!(stats_probe.hits, 0);
+        let (rewriter, registry) = probe_rewriter(&root);
         session.set_scan_rewriter(Some(Box::new(rewriter)));
         // $.a hits (cache-only: no raw columns needed).
         session
@@ -533,13 +506,17 @@ mod tests {
                  get_json_object(payload, '$.b') as b from db.t",
             )
             .unwrap();
-        // Reopen a probe rewriter to re-run the plan-only stats check:
-        // the installed one is owned by the session, so validate behavior
-        // through metrics instead.
+        // $.b alone misses: no rewrite, and the parse cost is paid.
         let res = session
             .execute("select get_json_object(payload, '$.b') as b from db.t")
             .unwrap();
         assert!(res.metrics.parse_calls > 0, "$.b is not cached");
+        assert_eq!(paths(&registry, "hit"), Some(2));
+        assert_eq!(paths(&registry, "miss"), Some(2));
+        assert_eq!(paths(&registry, "stale"), Some(0));
+        assert_eq!(scans(&registry, "cache_only"), Some(1));
+        assert_eq!(scans(&registry, "combined"), Some(1));
+        assert_eq!(scans(&registry, "no_rewrite"), Some(1));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -572,7 +549,7 @@ mod tests {
             .unwrap()
             .touch(200)
             .unwrap();
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let (rewriter, registry) = probe_rewriter(&root);
         // The invalidated list is observable before installation.
         let raw = session.catalog().table("db", "t").unwrap().clone();
         let calls = vec![("payload".to_string(), "$.a".to_string())];
@@ -588,14 +565,15 @@ mod tests {
         let rewrite = rewriter.rewrite_scan(&ctx).unwrap();
         assert!(rewrite.is_none(), "stale cache must not rewrite");
         assert_eq!(rewriter.invalidated(), vec![loc("$.a")]);
-        assert_eq!(rewriter.stats().invalidated, 1);
+        assert_eq!(paths(&registry, "stale"), Some(1));
+        assert_eq!(paths(&registry, "miss"), Some(0));
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
         let (session, root) = setup("mixed");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let (rewriter, registry) = probe_rewriter(&root);
         let raw = session.catalog().table("db", "t").unwrap().clone();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
@@ -627,9 +605,9 @@ mod tests {
         assert!(names.contains(&"id"));
         assert!(names.contains(&"payload"));
         assert!(names.contains(&cache_field_name("payload", "$.a").as_str()));
-        let stats = rewriter.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(paths(&registry, "hit"), Some(1));
+        assert_eq!(paths(&registry, "miss"), Some(1));
+        assert_eq!(scans(&registry, "combined"), Some(1));
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -1,5 +1,6 @@
-//! Observability spine: a thread-safe span tracer, log-bucketed latency
-//! histograms, named counters, and Chrome trace-event export.
+//! Observability spine: a thread-safe span tracer with Chrome trace-event
+//! export, a metric registry with Prometheus exposition, log-bucketed
+//! latency histograms, and a space-saving workload sketch.
 //!
 //! ## Span model
 //!
@@ -19,8 +20,7 @@
 //! toggleable tracer ([`Tracer::new`]) gates every hook on one relaxed
 //! atomic load. When disabled, `span`/`child` return an inert guard,
 //! `attr` never formats its value (the generic parameter is only rendered
-//! after the enabled check), and `add`/`observe` return before touching
-//! the buffer: branch-on-a-bool, no allocation, no lock.
+//! after the enabled check): branch-on-a-bool, no allocation, no lock.
 
 mod chrome;
 mod hist;

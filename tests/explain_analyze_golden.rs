@@ -103,8 +103,8 @@ query wall=_ rows=3
   sort wall=_ rows_in=3
     project wall=_ rows_in=3 rows_out=3
       scan_pipeline wall=_ label=NorcScan(<root>/db/t, cols=[0, 1], sarg) stages=scan+filter+agg splits=2 rows_out=3
-        split wall=_ split=0 rows_scanned=5 bytes_read=50 rg_read=1 rg_skipped=1 cells_materialized=10
-        split wall=_ split=1 rows_scanned=10 bytes_read=100 rg_read=2 cells_materialized=20";
+        split wall=_ split=0 rows_scanned=5 bytes_read=50 row_groups_read=1 row_groups_skipped=1 cells_materialized=10
+        split wall=_ split=1 rows_scanned=10 bytes_read=100 row_groups_read=2 cells_materialized=20";
 
 #[test]
 fn golden_tree_exact_at_one_and_four_threads() {

@@ -56,23 +56,6 @@ const GOLDEN_QUERIES: [&str; 4] = [
     "select get_json_object(payload, '$.f12') as f12 from mydb.q2",
 ];
 
-/// Work-counting metrics that must be invariant under parallelism. Timing
-/// fields are excluded (they legitimately vary); everything that counts
-/// discrete work must not — including `docs_parsed`, since shared-parse
-/// slots are per-row and rows never move between splits.
-fn work_counters(m: &ExecMetrics) -> [u64; 8] {
-    [
-        m.rows_scanned,
-        m.bytes_read,
-        m.parse_calls,
-        m.docs_parsed,
-        m.cache_hits,
-        m.row_groups_skipped,
-        m.row_groups_read,
-        m.prefilter_dropped,
-    ]
-}
-
 fn assert_differential(mut make_session: impl FnMut() -> Session, sql: &str, label: &str) {
     let mut reference_session = make_session();
     reference_session.set_threads(Some(1));
@@ -98,9 +81,12 @@ fn assert_differential(mut make_session: impl FnMut() -> Session, sql: &str, lab
             reference.to_display_string(),
             "[{label}] rendered output diverged at {threads} threads for {sql}"
         );
+        // No work counter may change with the thread count, docs_parsed
+        // included: shared-parse slots are per-row and rows never move
+        // between splits.
         assert_eq!(
-            work_counters(&result.metrics),
-            work_counters(&reference.metrics),
+            result.metrics.work_counters(),
+            reference.metrics.work_counters(),
             "[{label}] work counters diverged at {threads} threads for {sql}: \
              parallel {:?} vs serial {:?}",
             result.metrics,
@@ -143,7 +129,7 @@ fn multi_split_golden_query_actually_parallelizes() {
         result.metrics
     );
     assert_eq!(result.metrics.par_tasks, 2, "one task per split");
-    assert!(result.metrics.summary().contains("threads="));
+    assert!(result.metrics.summary().contains("threads_used="));
 }
 
 // ---------------------------------------------------------------------
@@ -331,8 +317,8 @@ fn property_random_tables_and_plans_parallel_equals_serial() {
                     reference.to_display_string()
                 );
                 maxson_testkit::prop_assert_eq!(
-                    work_counters(&result.metrics),
-                    work_counters(&reference.metrics)
+                    result.metrics.work_counters(),
+                    reference.metrics.work_counters()
                 );
             }
             std::fs::remove_dir_all(&root).ok();

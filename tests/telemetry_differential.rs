@@ -46,32 +46,6 @@ fn temp_log(name: &str) -> PathBuf {
     temp_root(name).with_extension("jsonl")
 }
 
-/// Every discrete-work counter plus the per-path extraction ledger.
-/// Timing gauges are excluded (they legitimately vary run to run).
-fn work_counters(m: &ExecMetrics) -> (Vec<u64>, Vec<(String, u64)>) {
-    (
-        vec![
-            m.rows_scanned,
-            m.bytes_read,
-            m.parse_calls,
-            m.docs_parsed,
-            m.cache_hits,
-            m.row_groups_skipped,
-            m.row_groups_read,
-            m.prefilter_dropped,
-            m.cells_materialized,
-            m.batch_rows_skipped,
-            m.lru_hits,
-            m.lru_misses,
-            m.lru_evictions,
-            m.nodes_skipped,
-            m.bitmap_builds,
-            m.bitmap_bytes,
-        ],
-        m.path_extracts.clone(),
-    )
-}
-
 const GOLDEN_QUERIES: [&str; 3] = [
     "select get_json_object(payload, '$.f0') as f0, \
      get_json_object(payload, '$.f1') as f1 from mydb.q1",
@@ -119,10 +93,17 @@ fn assert_telemetry_is_observation_only(
         instrumented.to_display_string(),
         "[{label}] telemetry changed rendered output for {sql}"
     );
+    // Every work counter plus the per-path extraction ledger; telemetry
+    // may change none of them. Timing gauges are not work counters (they
+    // legitimately vary run to run).
     assert_eq!(
-        work_counters(&bare.metrics),
-        work_counters(&instrumented.metrics),
+        bare.metrics.work_counters(),
+        instrumented.metrics.work_counters(),
         "[{label}] telemetry changed work counters for {sql}"
+    );
+    assert_eq!(
+        bare.metrics.path_extracts, instrumented.metrics.path_extracts,
+        "[{label}] telemetry changed path extractions for {sql}"
     );
 
     // The instrumentation must actually have observed the query — an

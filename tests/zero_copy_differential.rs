@@ -41,21 +41,20 @@ fn temp_root(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("maxson-zc-{}-{nanos}-{name}", std::process::id()))
 }
 
-/// Every discrete-work counter the batched pipeline touches. `docs_parsed`
-/// is excluded (it legitimately differs between shared-parse modes) and
-/// checked for thread-invariance separately.
-fn work_counters(m: &ExecMetrics) -> [u64; 9] {
-    [
-        m.rows_scanned,
-        m.bytes_read,
-        m.parse_calls,
-        m.cache_hits,
-        m.row_groups_skipped,
-        m.row_groups_read,
-        m.prefilter_dropped,
-        m.cells_materialized,
-        m.batch_rows_skipped,
-    ]
+/// Work counters the batching matrix may change; every other one must be
+/// identical across it.
+const BATCHING_MAY_DIFFER: [&str; 3] = [
+    // Differs between shared-parse modes; its thread-invariance is checked
+    // separately.
+    "docs_parsed",
+    // Mison builds structural bitmaps, the Jackson reference builds none.
+    "bitmap_builds",
+    // Bytes classified by those bitmap builds.
+    "bitmap_bytes",
+];
+
+fn work_counters(m: &ExecMetrics) -> Vec<(&'static str, u64)> {
+    m.work_counters_except(&BATCHING_MAY_DIFFER)
 }
 
 /// Normalize an `EXPLAIN ANALYZE` rendering: strip wall-clock tokens and
