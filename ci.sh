@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 cargo fmt --check
 cargo build --release --offline
 
+# Lints: every clippy warning in any target (tests, benches and bins
+# included) fails the gate.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 # Rustdoc must build warning-free, so no intra-doc link can dangle (e.g. a
 # link to a trait method that no longer exists).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

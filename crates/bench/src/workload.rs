@@ -202,7 +202,7 @@ pub fn session_for(
     use_scoring: bool,
 ) -> (Session, Vec<JsonPathLocation>) {
     let mut session = fresh_session();
-    session.set_parser_kind(system.parser());
+    session.set_parser(system.parser());
     if !system.uses_cache() {
         return (session, Vec::new());
     }
@@ -277,7 +277,7 @@ mod tests {
         let schema = maxson_datagen::tables::workload_schema();
         let t = catalog.create_table("db", "t", schema, 0).unwrap();
         let row = vec![Cell::Int(1), Cell::Int(20190101), Cell::from("{}")];
-        t.append_file(&[row.clone()], WriteOptions::default(), 1)
+        t.append_file(std::slice::from_ref(&row), WriteOptions::default(), 1)
             .unwrap();
         let part = t.append_file(&[row], WriteOptions::default(), 1).unwrap();
         assert_eq!(missing_part_file(&root), None);

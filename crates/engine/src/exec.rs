@@ -17,6 +17,15 @@
 //! segment over the input's materialized rows, which arrive as a single
 //! row-major batch.
 //!
+//! ## JSON evaluation policy
+//!
+//! [`ExecOptions`] carries the whole `get_json_object` policy: which parser
+//! runs and whether a row's parse is shared. Every operator that evaluates
+//! expressions (a segment, the join's key sides, the sort keys) builds one
+//! [`JsonExtractor`] from its expressions and those options and evaluates
+//! each row through fresh [`RowSlots`]; no operator sees the parser or the
+//! sharing flag itself (see [`crate::extract`]).
+//!
 //! ## Parallel execution model
 //!
 //! When a scan segment's provider exposes more than one split and
@@ -63,9 +72,12 @@ pub struct ExecOptions {
     /// Maximum worker threads for split-parallel segments. `1` is the
     /// serial reference path (no pool involvement at all).
     pub threads: usize,
+    /// Which parser `get_json_object` runs (Fig. 15's axis).
+    pub parser: JsonParserKind,
     /// Intra-query shared-parse extraction: parse each JSON document once
     /// per row and answer every path the query needs from that single
-    /// parse. Off = the naive one-parse-per-`get_json_object` baseline.
+    /// parse. Off = a no-memo extractor, which parses per
+    /// `get_json_object` call (the naive baseline).
     pub shared_parse: bool,
     /// Cooperative split scheduler: when set, every split task (inline or
     /// pooled) runs inside an acquire/release bracket so a query server can
@@ -74,23 +86,26 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// The serial reference configuration (shared-parse still follows the
-    /// `MAXSON_SHARED_PARSE` environment toggle).
+    /// The serial reference configuration: the Jackson parser, with
+    /// shared-parse following the `MAXSON_SHARED_PARSE` environment toggle.
     pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            shared_parse: shared_parse_from_env(),
-            scheduler: None,
-        }
+        ExecOptions::with_threads(1)
     }
 
     /// Explicit thread count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         ExecOptions {
             threads: threads.max(1),
+            parser: JsonParserKind::default(),
             shared_parse: shared_parse_from_env(),
             scheduler: None,
         }
+    }
+
+    /// Override the parser (builder style).
+    pub fn with_parser(mut self, parser: JsonParserKind) -> Self {
+        self.parser = parser;
+        self
     }
 
     /// Override the shared-parse toggle (builder style).
@@ -110,18 +125,15 @@ impl ExecOptions {
 
     /// Resolve from the environment: `MAXSON_THREADS` if set to a positive
     /// integer (otherwise the number of available cores), and
-    /// `MAXSON_SHARED_PARSE` (default on; `0` disables).
+    /// `MAXSON_SHARED_PARSE` (default on; `0` disables). The parser is
+    /// Jackson; `Session` resolves `MAXSON_PARSER` itself.
     pub fn from_env() -> Self {
         let threads = std::env::var("MAXSON_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or_else(default_threads);
-        ExecOptions {
-            threads,
-            shared_parse: shared_parse_from_env(),
-            scheduler: None,
-        }
+        ExecOptions::with_threads(threads)
     }
 }
 
@@ -147,22 +159,17 @@ pub fn shared_parse_from_env() -> bool {
 
 /// Execute a plan to completion, returning the output rows. Threading is
 /// resolved from the environment ([`ExecOptions::from_env`]).
-pub fn execute_plan(
-    plan: &LogicalPlan,
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-) -> Result<Vec<Vec<Cell>>> {
-    execute_plan_with(plan, parser, metrics, ExecOptions::from_env())
+pub fn execute_plan(plan: &LogicalPlan, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
+    execute_plan_with(plan, metrics, ExecOptions::from_env())
 }
 
 /// Execute a plan to completion with explicit options (untraced).
 pub fn execute_plan_with(
     plan: &LogicalPlan,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: ExecOptions,
 ) -> Result<Vec<Vec<Cell>>> {
-    execute_plan_traced(plan, parser, metrics, &opts, &Tracer::disabled(), None)
+    execute_plan_traced(plan, metrics, &opts, &Tracer::disabled(), None)
 }
 
 /// Execute a plan to completion, recording one span per operator (and per
@@ -171,7 +178,6 @@ pub fn execute_plan_with(
 /// the untraced path (see `tests/tracing_differential.rs`).
 pub fn execute_plan_traced(
     plan: &LogicalPlan,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
@@ -180,9 +186,7 @@ pub fn execute_plan_traced(
     match plan {
         LogicalPlan::Scan { provider } => {
             let source = Source::Scan(provider.as_ref());
-            run_segment(
-                source, None, None, None, parser, metrics, opts, tracer, parent,
-            )
+            run_segment(source, None, None, None, metrics, opts, tracer, parent)
         }
         LogicalPlan::Filter { input, predicate } => {
             // Only a bare scan fuses with a filter; anything else (a join,
@@ -192,16 +196,12 @@ pub fn execute_plan_traced(
                 _ => Source::Rows("filter", input),
             };
             let filter = Some(predicate);
-            run_segment(
-                source, filter, None, None, parser, metrics, opts, tracer, parent,
-            )
+            run_segment(source, filter, None, None, metrics, opts, tracer, parent)
         }
         LogicalPlan::Project { input, exprs, .. } => {
             let (source, filter) = Source::fused(input, "project");
             let project = Some(exprs.as_slice());
-            run_segment(
-                source, filter, project, None, parser, metrics, opts, tracer, parent,
-            )
+            run_segment(source, filter, project, None, metrics, opts, tracer, parent)
         }
         LogicalPlan::Aggregate {
             input,
@@ -211,9 +211,7 @@ pub fn execute_plan_traced(
         } => {
             let (source, filter) = Source::fused(input, "hash_agg");
             let agg = Some((group_by.as_slice(), aggs.as_slice()));
-            run_segment(
-                source, filter, None, agg, parser, metrics, opts, tracer, parent,
-            )
+            run_segment(source, filter, None, agg, metrics, opts, tracer, parent)
         }
         LogicalPlan::Join {
             left,
@@ -223,36 +221,28 @@ pub fn execute_plan_traced(
             ..
         } => {
             let span = tracer.child("hash_join", parent);
-            let left_rows = execute_plan_traced(left, parser, metrics, opts, tracer, span.id())?;
-            let right_rows = execute_plan_traced(right, parser, metrics, opts, tracer, span.id())?;
+            let left_rows = execute_plan_traced(left, metrics, opts, tracer, span.id())?;
+            let right_rows = execute_plan_traced(right, metrics, opts, tracer, span.id())?;
             span.attr("rows_left", left_rows.len());
             span.attr("rows_right", right_rows.len());
             let before = counters_before(tracer, metrics);
-            let out = hash_join(
-                left_rows,
-                right_rows,
-                left_key,
-                right_key,
-                parser,
-                metrics,
-                opts.shared_parse,
-            )?;
+            let out = hash_join(left_rows, right_rows, left_key, right_key, metrics, opts)?;
             span.attr("rows_out", out.len());
             attr_counter_deltas(&span, before.as_ref(), metrics);
             Ok(out)
         }
         LogicalPlan::Sort { input, keys } => {
             let span = tracer.child("sort", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+            let rows = execute_plan_traced(input, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             let before = counters_before(tracer, metrics);
-            let out = sort_rows(rows, keys, parser, metrics, opts.shared_parse)?;
+            let out = sort_rows(rows, keys, metrics, opts)?;
             attr_counter_deltas(&span, before.as_ref(), metrics);
             Ok(out)
         }
         LogicalPlan::Limit { input, n } => {
             let span = tracer.child("limit", parent);
-            let mut rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+            let mut rows = execute_plan_traced(input, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             rows.truncate(*n);
             span.attr("rows_out", rows.len());
@@ -260,7 +250,7 @@ pub fn execute_plan_traced(
         }
         LogicalPlan::Distinct { input } => {
             let span = tracer.child("distinct", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+            let rows = execute_plan_traced(input, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             let mut seen: std::collections::HashSet<RowKey> = std::collections::HashSet::new();
             let mut out = Vec::new();
@@ -301,19 +291,6 @@ fn attr_counter_deltas(span: &SpanGuard<'_>, before: Option<&ExecMetrics>, after
             span.attr("bitmap_wall_us", wall_us);
         }
         span.attr("simd", maxson_json::kernels::active().name());
-    }
-}
-
-/// Build a shared-parse extractor over `exprs` when the toggle is on (and
-/// the expressions contain any JSON path at all).
-fn shared_extractor<'a>(
-    shared_parse: bool,
-    exprs: impl IntoIterator<Item = &'a Expr>,
-) -> Option<JsonExtractor> {
-    if shared_parse {
-        JsonExtractor::from_exprs(exprs)
-    } else {
-        None
     }
 }
 
@@ -362,11 +339,11 @@ struct PipelineSegment<'a> {
     filter: Option<&'a Expr>,
     project: Option<&'a [(Expr, String)]>,
     agg: Option<AggStage<'a>>,
-    /// Shared-parse extraction sites across the *whole* segment (filter
-    /// plus projection or aggregation), so one row-parse serves every
-    /// stage. `None` when the toggle is off or no stage touches JSON.
-    /// Read-only, hence safely shared across split tasks.
-    extractor: Option<JsonExtractor>,
+    /// JSON extraction sites across the *whole* segment (filter plus
+    /// projection or aggregation), so with shared parsing one row-parse
+    /// serves every stage. Read-only, hence safely shared across split
+    /// tasks.
+    extractor: JsonExtractor,
     /// Input columns the filter reads (ascending). For columnar batches
     /// only these are materialized before the filter runs.
     filter_cols: Vec<usize>,
@@ -484,7 +461,7 @@ impl<'a> PipelineSegment<'a> {
         project: Option<&'a [(Expr, String)]>,
         agg: Option<AggStage<'a>>,
         input: &Schema,
-        shared_parse: bool,
+        opts: &ExecOptions,
     ) -> Self {
         let mut exprs: Vec<&Expr> = Vec::new();
         exprs.extend(filter);
@@ -504,7 +481,7 @@ impl<'a> PipelineSegment<'a> {
             filter,
             project,
             agg,
-            extractor: shared_extractor(shared_parse, exprs),
+            extractor: JsonExtractor::new(exprs, opts),
             // Out-of-range references (a planner bug) are left out so the
             // filter's own eval reports the error instead of an index panic.
             filter_cols: referenced.iter().copied().filter(|&c| c < width).collect(),
@@ -523,13 +500,7 @@ impl<'a> PipelineSegment<'a> {
     /// batch, row at a time so every stage shares one [`RowSlots`] — the
     /// filter's parse is reused above it. Rows the selection vector drops
     /// are charged to `batch_rows_skipped` and never visited.
-    fn run(
-        &self,
-        batch: Batch,
-        out: &mut SegmentOut,
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Result<()> {
+    fn run(&self, batch: Batch, out: &mut SegmentOut, metrics: &mut ExecMetrics) -> Result<()> {
         let mut rows = BatchRows::new(batch.data);
         let n = rows.len();
         let indexes = match batch.selection {
@@ -541,10 +512,10 @@ impl<'a> PipelineSegment<'a> {
         };
         for &i in &indexes {
             let i = i as usize;
-            let slots = self.extractor.as_ref().map(RowSlots::new);
+            let slots = RowSlots::new(&self.extractor);
             if let Some(predicate) = self.filter {
                 rows.load(i, &self.filter_cols, metrics);
-                if !truthy(&predicate.eval_with(rows.row(i), parser, metrics, slots.as_ref())?) {
+                if !truthy(&predicate.eval(rows.row(i), &slots, metrics)?) {
                     rows.reject(metrics);
                     continue;
                 }
@@ -553,18 +524,13 @@ impl<'a> PipelineSegment<'a> {
             match out {
                 SegmentOut::Agg(partial) => {
                     let (group_by, aggs) = self.agg.expect("aggregate output implies aggregate");
-                    partial.update(rows.row(i), group_by, aggs, parser, metrics, slots.as_ref())?;
+                    partial.update(rows.row(i), group_by, aggs, &slots, metrics)?;
                 }
                 SegmentOut::Rows(out) => match self.project {
                     Some(exprs) => {
                         let mut projected = Vec::with_capacity(exprs.len());
                         for (e, _) in exprs {
-                            projected.push(e.eval_with(
-                                rows.row(i),
-                                parser,
-                                metrics,
-                                slots.as_ref(),
-                            )?);
+                            projected.push(e.eval(rows.row(i), &slots, metrics)?);
                         }
                         out.push(projected);
                     }
@@ -576,13 +542,11 @@ impl<'a> PipelineSegment<'a> {
     }
 
     /// Scan one split into `out` under its own `split` span.
-    #[allow(clippy::too_many_arguments)]
     fn run_split(
         &self,
         provider: &dyn ScanProvider,
         split: usize,
         out: &mut SegmentOut,
-        parser: JsonParserKind,
         metrics: &mut ExecMetrics,
         tracer: &Tracer,
         parent: Option<SpanId>,
@@ -592,7 +556,7 @@ impl<'a> PipelineSegment<'a> {
         let before = counters_before(tracer, metrics);
         let rows_before = out.row_count();
         let batch = provider.scan_split_batch(split, metrics)?;
-        self.run(batch, out, parser, metrics)?;
+        self.run(batch, out, metrics)?;
         if let (Some(after), Some(before)) = (out.row_count(), rows_before) {
             span.attr("rows_out", after - before);
         }
@@ -623,7 +587,6 @@ fn run_segment(
     filter: Option<&Expr>,
     project: Option<&[(Expr, String)]>,
     agg: Option<AggStage<'_>>,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
@@ -633,13 +596,11 @@ fn run_segment(
         Source::Scan(provider) => provider.schema(),
         Source::Rows(_, input) => input.schema(),
     };
-    let segment = PipelineSegment::new(filter, project, agg, schema, opts.shared_parse);
+    let segment = PipelineSegment::new(filter, project, agg, schema, opts);
     match source {
-        Source::Scan(provider) => {
-            run_pipeline(provider, segment, parser, metrics, opts, tracer, parent)
-        }
+        Source::Scan(provider) => run_pipeline(provider, segment, metrics, opts, tracer, parent),
         Source::Rows(name, input) => {
-            run_over_rows(name, input, segment, parser, metrics, opts, tracer, parent)
+            run_over_rows(name, input, segment, metrics, opts, tracer, parent)
         }
     }
 }
@@ -648,11 +609,9 @@ fn run_segment(
 /// thread, or fewer than two splits) walks the splits on the calling
 /// thread in index order; parallel execution fans them out over the pool
 /// and merges their outputs in split order.
-#[allow(clippy::too_many_arguments)]
 fn run_pipeline(
     provider: &dyn ScanProvider,
     segment: PipelineSegment<'_>,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
@@ -681,15 +640,7 @@ fn run_pipeline(
     // observable behavior (threads_used stays 0).
     if opts.threads <= 1 || splits <= 1 {
         for split in 0..splits {
-            segment.run_split(
-                provider,
-                split,
-                &mut out,
-                parser,
-                metrics,
-                tracer,
-                span.id(),
-            )?;
+            segment.run_split(provider, split, &mut out, metrics, tracer, span.id())?;
         }
     } else {
         // Worker tasks parent their per-split spans on the pipeline span
@@ -705,7 +656,6 @@ fn run_pipeline(
                     provider,
                     split,
                     &mut task_out,
-                    parser,
                     &mut task_metrics,
                     tracer,
                     pipe_id,
@@ -727,23 +677,21 @@ fn run_pipeline(
 
 /// Run a one-stage segment over a non-scan input's materialized rows (one
 /// row-major batch), under an operator span named `name`.
-#[allow(clippy::too_many_arguments)]
 fn run_over_rows(
     name: &str,
     input: &LogicalPlan,
     segment: PipelineSegment<'_>,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
     parent: Option<SpanId>,
 ) -> Result<Vec<Vec<Cell>>> {
     let span = tracer.child(name, parent);
-    let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+    let rows = execute_plan_traced(input, metrics, opts, tracer, span.id())?;
     span.attr("rows_in", rows.len());
     let before = counters_before(tracer, metrics);
     let mut out = segment.new_out();
-    segment.run(Batch::from_rows(rows), &mut out, parser, metrics)?;
+    segment.run(Batch::from_rows(rows), &mut out, metrics)?;
     let out = out.finish();
     span.attr("rows_out", out.len());
     attr_counter_deltas(&span, before.as_ref(), metrics);
@@ -988,24 +936,23 @@ impl AggPartial {
         }
     }
 
-    /// Fold one input row into this partial. `slots` (when present) shares
-    /// the row's JSON parse across group keys, aggregate arguments, and the
-    /// caller's already-evaluated filter.
+    /// Fold one input row into this partial. With shared parsing, `slots`
+    /// share the row's JSON parse across group keys, aggregate arguments,
+    /// and the caller's already-evaluated filter.
     fn update(
         &mut self,
         row: &[Cell],
         group_by: &[Expr],
         aggs: &[(AggFunc, Option<Expr>)],
-        parser: JsonParserKind,
+        slots: &RowSlots<'_>,
         metrics: &mut ExecMetrics,
-        slots: Option<&RowSlots<'_>>,
     ) -> Result<()> {
         let states = match self {
             AggPartial::Global(states) => states,
             AggPartial::Grouped { order, groups } => {
                 let mut keys = Vec::with_capacity(group_by.len());
                 for g in group_by {
-                    keys.push(g.eval_with(row, parser, metrics, slots)?);
+                    keys.push(g.eval(row, slots, metrics)?);
                 }
                 // Probe with the evaluated cells directly — no per-row key
                 // string. Only a first-seen group owns its key (cheap cell
@@ -1024,7 +971,7 @@ impl AggPartial {
             match arg {
                 None => state.update(None),
                 Some(e) => {
-                    let v = e.eval_with(row, parser, metrics, slots)?;
+                    let v = e.eval(row, slots, metrics)?;
                     state.update(Some(&v));
                 }
             }
@@ -1098,21 +1045,19 @@ fn hash_join(
     right_rows: Vec<Vec<Cell>>,
     left_key: &Expr,
     right_key: &Expr,
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
-    shared_parse: bool,
+    opts: &ExecOptions,
 ) -> Result<Vec<Vec<Cell>>> {
-    // Each side keys on one expression over its own rows, so the shared
-    // extractor covers that single expression (still worthwhile: a path
-    // repeated inside one key expression parses once).
-    let right_extractor = shared_extractor(shared_parse, [right_key]);
-    let left_extractor = shared_extractor(shared_parse, [left_key]);
+    // Each side keys on one expression over its own rows, so each side's
+    // extractor covers that single expression (sharing is still worthwhile:
+    // a path repeated inside one key expression parses once).
+    let right_extractor = JsonExtractor::new([right_key], opts);
+    let left_extractor = JsonExtractor::new([left_key], opts);
     // Build on the right side.
     let mut table: HashMap<CellKey, Vec<usize>> = HashMap::new();
     let mut right_keys = Vec::with_capacity(right_rows.len());
     for (i, row) in right_rows.iter().enumerate() {
-        let slots = right_extractor.as_ref().map(RowSlots::new);
-        let k = right_key.eval_with(row, parser, metrics, slots.as_ref())?;
+        let k = right_key.eval(row, &RowSlots::new(&right_extractor), metrics)?;
         if !k.is_null() {
             table.entry(CellKey(k.clone())).or_default().push(i);
         }
@@ -1120,8 +1065,7 @@ fn hash_join(
     }
     let mut out = Vec::new();
     for lrow in &left_rows {
-        let slots = left_extractor.as_ref().map(RowSlots::new);
-        let k = left_key.eval_with(lrow, parser, metrics, slots.as_ref())?;
+        let k = left_key.eval(lrow, &RowSlots::new(&left_extractor), metrics)?;
         if k.is_null() {
             continue;
         }
@@ -1139,18 +1083,17 @@ fn hash_join(
 fn sort_rows(
     rows: Vec<Vec<Cell>>,
     keys: &[(Expr, bool)],
-    parser: JsonParserKind,
     metrics: &mut ExecMetrics,
-    shared_parse: bool,
+    opts: &ExecOptions,
 ) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, keys.iter().map(|(e, _)| e));
+    let extractor = JsonExtractor::new(keys.iter().map(|(e, _)| e), opts);
     // Precompute sort keys once per row (get_json_object keys are costly).
     let mut keyed: Vec<(Vec<Cell>, Vec<Cell>)> = Vec::with_capacity(rows.len());
     for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
+        let slots = RowSlots::new(&extractor);
         let mut ks = Vec::with_capacity(keys.len());
         for (e, _) in keys {
-            ks.push(e.eval_with(&row, parser, metrics, slots.as_ref())?);
+            ks.push(e.eval(&row, &slots, metrics)?);
         }
         keyed.push((ks, row));
     }
@@ -1251,13 +1194,7 @@ mod tests {
             aggs: aggs.to_vec(),
             schema: Schema::new(vec![]).unwrap(),
         };
-        execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut m(),
-            ExecOptions::with_threads(threads),
-        )
-        .unwrap()
+        execute_plan_with(&plan, &mut m(), ExecOptions::with_threads(threads)).unwrap()
     }
 
     /// Fold `rows` into one partial, as a split task does.
@@ -1266,10 +1203,13 @@ mod tests {
         group_by: &[Expr],
         aggs: &[(AggFunc, Option<Expr>)],
     ) -> AggPartial {
+        let args = aggs.iter().filter_map(|(_, a)| a.as_ref());
+        let extractor = JsonExtractor::new(group_by.iter().chain(args), &ExecOptions::serial());
         let mut partial = AggPartial::new(group_by, aggs);
         for row in rows {
+            let slots = RowSlots::new(&extractor);
             partial
-                .update(row, group_by, aggs, JsonParserKind::Jackson, &mut m(), None)
+                .update(row, group_by, aggs, &slots, &mut m())
                 .unwrap();
         }
         partial
@@ -1435,9 +1375,8 @@ mod tests {
             right,
             &Expr::Column(0),
             &Expr::Column(0),
-            JsonParserKind::Jackson,
             &mut m(),
-            true,
+            &ExecOptions::serial(),
         )
         .unwrap();
         // Only key 2 matches, twice.
@@ -1456,9 +1395,8 @@ mod tests {
             right,
             &Expr::Column(0),
             &Expr::Column(0),
-            JsonParserKind::Jackson,
             &mut m(),
-            true,
+            &ExecOptions::serial(),
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1472,7 +1410,7 @@ mod tests {
             vec![Cell::Str("a".into()), Cell::Int(1)],
         ];
         let keys = vec![(Expr::Column(0), true), (Expr::Column(1), false)];
-        let out = sort_rows(rows, &keys, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = sort_rows(rows, &keys, &mut m(), &ExecOptions::serial()).unwrap();
         assert_eq!(out[0], vec![Cell::Str("a".into()), Cell::Int(2)]);
         assert_eq!(out[1], vec![Cell::Str("a".into()), Cell::Int(1)]);
         assert_eq!(out[2], vec![Cell::Str("b".into()), Cell::Int(1)]);
@@ -1484,9 +1422,8 @@ mod tests {
         let out = sort_rows(
             rows,
             &[(Expr::Column(0), true)],
-            JsonParserKind::Jackson,
             &mut m(),
-            true,
+            &ExecOptions::serial(),
         )
         .unwrap();
         assert_eq!(out[0][0], Cell::Null);
@@ -1543,7 +1480,7 @@ mod tests {
                 }),
             }),
         };
-        let out = execute_plan(&plan, JsonParserKind::Jackson, &mut m()).unwrap();
+        let out = execute_plan(&plan, &mut m()).unwrap();
         assert_eq!(
             out,
             vec![vec![Cell::Int(4)], vec![Cell::Int(5)], vec![Cell::Int(6)]]
@@ -1573,23 +1510,12 @@ mod tests {
             input: Box::new(ten_split_plan(None)),
         };
         let mut serial_m = m();
-        let serial = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut serial_m,
-            ExecOptions::serial(),
-        )
-        .unwrap();
+        let serial = execute_plan_with(&plan, &mut serial_m, ExecOptions::serial()).unwrap();
         assert_eq!(serial_m.threads_used, 0, "serial path never touches pool");
         for threads in [2, 4, 8] {
             let mut par_m = m();
-            let parallel = execute_plan_with(
-                &plan,
-                JsonParserKind::Jackson,
-                &mut par_m,
-                ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let parallel =
+                execute_plan_with(&plan, &mut par_m, ExecOptions::with_threads(threads)).unwrap();
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(par_m.rows_scanned, serial_m.rows_scanned);
             assert_eq!(par_m.threads_used, threads as u64);
@@ -1613,21 +1539,9 @@ mod tests {
             schema: Schema::new(vec![Field::new("g", ColumnType::Utf8)]).unwrap(),
         };
         let mut serial_m = m();
-        let serial = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut serial_m,
-            ExecOptions::serial(),
-        )
-        .unwrap();
+        let serial = execute_plan_with(&plan, &mut serial_m, ExecOptions::serial()).unwrap();
         let mut par_m = m();
-        let parallel = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut par_m,
-            ExecOptions::with_threads(4),
-        )
-        .unwrap();
+        let parallel = execute_plan_with(&plan, &mut par_m, ExecOptions::with_threads(4)).unwrap();
         assert_eq!(parallel, serial);
         assert_eq!(par_m.rows_scanned, serial_m.rows_scanned);
     }
@@ -1636,13 +1550,7 @@ mod tests {
     fn poisoned_split_propagates_error_with_split_index() {
         let plan = ten_split_plan(Some(7));
         let mut metrics = m();
-        let err = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut metrics,
-            ExecOptions::with_threads(4),
-        )
-        .unwrap_err();
+        let err = execute_plan_with(&plan, &mut metrics, ExecOptions::with_threads(4)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("split 7"), "error must name the split: {msg}");
         assert!(msg.contains("corrupt split body"), "{msg}");
@@ -1657,13 +1565,7 @@ mod tests {
             provider: Box::new(SplitFixed::new(splits)),
         };
         let mut metrics = m();
-        let rows = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut metrics,
-            ExecOptions::with_threads(8),
-        )
-        .unwrap();
+        let rows = execute_plan_with(&plan, &mut metrics, ExecOptions::with_threads(8)).unwrap();
         assert_eq!(rows.len(), 5);
         assert_eq!(metrics.threads_used, 0, "single split must not use pool");
         assert_eq!(metrics.par_tasks, 0);
@@ -1675,13 +1577,7 @@ mod tests {
             provider: Box::new(SplitFixed::new(Vec::new())),
         };
         let mut metrics = m();
-        let rows = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut metrics,
-            ExecOptions::with_threads(8),
-        )
-        .unwrap();
+        let rows = execute_plan_with(&plan, &mut metrics, ExecOptions::with_threads(8)).unwrap();
         assert!(rows.is_empty());
         assert_eq!(metrics.threads_used, 0);
     }
@@ -1752,17 +1648,19 @@ mod tests {
             let mut naive_m = m();
             let naive = execute_plan_with(
                 &plan,
-                parser,
                 &mut naive_m,
-                ExecOptions::serial().with_shared_parse(false),
+                ExecOptions::serial()
+                    .with_shared_parse(false)
+                    .with_parser(parser),
             )
             .unwrap();
             let mut shared_m = m();
             let shared = execute_plan_with(
                 &plan,
-                parser,
                 &mut shared_m,
-                ExecOptions::serial().with_shared_parse(true),
+                ExecOptions::serial()
+                    .with_shared_parse(true)
+                    .with_parser(parser),
             )
             .unwrap();
             assert_eq!(shared, naive, "{parser:?}");
@@ -1776,9 +1674,10 @@ mod tests {
             let mut par_m = m();
             let parallel = execute_plan_with(
                 &plan,
-                parser,
                 &mut par_m,
-                ExecOptions::with_threads(4).with_shared_parse(true),
+                ExecOptions::with_threads(4)
+                    .with_shared_parse(true)
+                    .with_parser(parser),
             )
             .unwrap();
             assert_eq!(parallel, naive);
@@ -1800,7 +1699,6 @@ mod tests {
         let mut shared_m = m();
         let shared = execute_plan_with(
             &plan,
-            JsonParserKind::Jackson,
             &mut shared_m,
             ExecOptions::serial().with_shared_parse(true),
         )
@@ -1837,18 +1735,20 @@ mod tests {
             let mut naive_m = m();
             let naive = execute_plan_with(
                 &plan,
-                parser,
                 &mut naive_m,
-                ExecOptions::serial().with_shared_parse(false),
+                ExecOptions::serial()
+                    .with_shared_parse(false)
+                    .with_parser(parser),
             )
             .unwrap();
             for threads in [1, 4] {
                 let mut shared_m = m();
                 let shared = execute_plan_with(
                     &plan,
-                    parser,
                     &mut shared_m,
-                    ExecOptions::with_threads(threads).with_shared_parse(true),
+                    ExecOptions::with_threads(threads)
+                        .with_shared_parse(true)
+                        .with_parser(parser),
                 )
                 .unwrap();
                 assert_eq!(shared, naive, "{parser:?} at {threads} threads");

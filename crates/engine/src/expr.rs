@@ -2,16 +2,15 @@
 //!
 //! Physical expressions reference input columns by *index* into the
 //! operator's input schema. `GetJsonObject` is the expression where JSON
-//! parsing happens — its evaluation time is charged to
-//! [`ExecMetrics::parse`], which is how the engine reproduces the paper's
-//! parse-cost measurements. Maxson's Algorithm 1 rewrite replaces
+//! parsing happens: evaluation answers it from the row's [`RowSlots`],
+//! whose extractor holds the operator's parser and parse-sharing policy
+//! and charges parse time to [`ExecMetrics::parse`], which is how the
+//! engine reproduces the paper's parse-cost measurements. Maxson's Algorithm 1 rewrite replaces
 //! `GetJsonObject` nodes with plain `Column` references into cache-provided
 //! slots, making the parse cost vanish.
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
-use maxson_json::mison::MisonProjector;
 use maxson_json::JsonPath;
 use maxson_storage::Cell;
 
@@ -168,27 +167,14 @@ impl Expr {
         }
     }
 
-    /// Evaluate against one row. JSON parse time is charged to `metrics`.
-    /// Every `get_json_object` runs its own full parse (the naive path);
-    /// use [`Expr::eval_with`] to share parses across calls via row slots.
+    /// Evaluate against one row. Every `get_json_object` is answered by
+    /// the row's `slots`, which parse under the operator's evaluation
+    /// policy and charge parse time to `metrics`.
     pub fn eval(
         &self,
         row: &[Cell],
-        parser: JsonParserKind,
+        slots: &RowSlots<'_>,
         metrics: &mut ExecMetrics,
-    ) -> Result<Cell> {
-        self.eval_with(row, parser, metrics, None)
-    }
-
-    /// Evaluate against one row, answering `GetJsonObject` nodes from the
-    /// shared-parse `slots` when provided (and covered); uncovered pairs —
-    /// and `slots: None` — fall back to a per-call parse.
-    pub fn eval_with(
-        &self,
-        row: &[Cell],
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-        slots: Option<&RowSlots<'_>>,
     ) -> Result<Cell> {
         match self {
             Expr::Column(i) => row
@@ -203,57 +189,31 @@ impl Expr {
                 let Cell::Str(json) = cell else {
                     return Ok(Cell::Null);
                 };
-                if let Some(slots) = slots {
-                    if let Some(extracted) = slots.get(json, *column, path, parser, metrics) {
-                        return Ok(extracted.map_or(Cell::Null, Cell::from));
-                    }
-                }
-                let kernels_before = maxson_json::kernels::thread_build_stats();
-                let start = Instant::now();
-                let cell = match parser {
-                    JsonParserKind::Jackson => {
-                        maxson_json::get_json_object(json, path).map_or(Cell::Null, Cell::from)
-                    }
-                    JsonParserKind::Mison => {
-                        MisonProjector::project_path(json, path).map_or(Cell::Null, Cell::from)
-                    }
-                    JsonParserKind::Tape => {
-                        let tape = maxson_json::tape::TapeDoc::build(json).ok();
-                        let built = start.elapsed();
-                        metrics.tape_build_wall += built;
-                        let mut stats = maxson_json::tape::TapeStats::default();
-                        let out = tape.as_ref().and_then(|t| t.eval_path(path, &mut stats));
-                        metrics.tape_nav_wall += start.elapsed().saturating_sub(built);
-                        metrics.nodes_skipped += stats.nodes_skipped;
-                        out.map_or(Cell::Null, Cell::from)
-                    }
-                };
-                let spent = start.elapsed();
-                metrics.parse += spent;
-                metrics.parse_wall += spent;
-                metrics.parse_calls += 1;
-                metrics.docs_parsed += 1;
-                metrics.charge_path_extract(path.text());
-                metrics.charge_bitmap_builds(kernels_before);
-                Ok(cell)
+                let extracted = slots.get(json, *column, path, metrics).ok_or_else(|| {
+                    EngineError::exec(format!(
+                        "get_json_object(column {column}, '{}') has no extraction site",
+                        path.text()
+                    ))
+                })?;
+                Ok(extracted.map_or(Cell::Null, Cell::from))
             }
             Expr::Binary { left, op, right } => {
-                let l = left.eval_with(row, parser, metrics, slots)?;
-                let r = right.eval_with(row, parser, metrics, slots)?;
+                let l = left.eval(row, slots, metrics)?;
+                let r = right.eval(row, slots, metrics)?;
                 eval_binary(&l, *op, &r)
             }
-            Expr::Not(e) => match e.eval_with(row, parser, metrics, slots)? {
+            Expr::Not(e) => match e.eval(row, slots, metrics)? {
                 Cell::Null => Ok(Cell::Null),
                 c => Ok(Cell::Bool(!truthy(&c))),
             },
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval_with(row, parser, metrics, slots)?;
+                let v = expr.eval(row, slots, metrics)?;
                 Ok(Cell::Bool(v.is_null() != *negated))
             }
             Expr::Between { expr, low, high } => {
-                let v = expr.eval_with(row, parser, metrics, slots)?;
-                let lo = low.eval_with(row, parser, metrics, slots)?;
-                let hi = high.eval_with(row, parser, metrics, slots)?;
+                let v = expr.eval(row, slots, metrics)?;
+                let lo = low.eval(row, slots, metrics)?;
+                let hi = high.eval(row, slots, metrics)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
                         Ok(Cell::Bool(a != Ordering::Less && b != Ordering::Greater))
@@ -261,7 +221,7 @@ impl Expr {
                     _ => Ok(Cell::Null),
                 }
             }
-            Expr::Neg(e) => match e.eval_with(row, parser, metrics, slots)? {
+            Expr::Neg(e) => match e.eval(row, slots, metrics)? {
                 Cell::Null => Ok(Cell::Null),
                 Cell::Int(i) => Ok(Cell::Int(-i)),
                 Cell::Float(f) => Ok(Cell::Float(-f)),
@@ -275,7 +235,7 @@ impl Expr {
                 items,
                 negated,
             } => {
-                let v = expr.eval_with(row, parser, metrics, slots)?;
+                let v = expr.eval(row, slots, metrics)?;
                 if v.is_null() {
                     return Ok(Cell::Null);
                 }
@@ -284,7 +244,7 @@ impl Expr {
                 let mut saw_null = false;
                 let mut found = false;
                 for item in items {
-                    let m = item.eval_with(row, parser, metrics, slots)?;
+                    let m = item.eval(row, slots, metrics)?;
                     if m.is_null() {
                         saw_null = true;
                         continue;
@@ -307,7 +267,7 @@ impl Expr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval_with(row, parser, metrics, slots)?;
+                let v = expr.eval(row, slots, metrics)?;
                 if v.is_null() {
                     return Ok(Cell::Null);
                 }
@@ -318,7 +278,7 @@ impl Expr {
             Expr::Function { func, args } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
-                    values.push(a.eval_with(row, parser, metrics, slots)?);
+                    values.push(a.eval(row, slots, metrics)?);
                 }
                 Ok(eval_scalar(*func, &values))
             }
@@ -628,10 +588,17 @@ fn eval_binary(l: &Cell, op: BinaryOp, r: &Cell) -> Result<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOptions;
+    use crate::extract::JsonExtractor;
+
+    /// Evaluate `e` over `row` with an extractor built for `e` alone.
+    fn eval_under(e: &Expr, row: &[Cell], opts: &ExecOptions, m: &mut ExecMetrics) -> Result<Cell> {
+        let ex = JsonExtractor::new([e], opts);
+        e.eval(row, &RowSlots::new(&ex), m)
+    }
 
     fn eval(e: &Expr, row: &[Cell]) -> Cell {
-        let mut m = ExecMetrics::default();
-        e.eval(row, JsonParserKind::Jackson, &mut m).unwrap()
+        eval_under(e, row, &ExecOptions::serial(), &mut ExecMetrics::default()).unwrap()
     }
 
     fn bin(l: Expr, op: BinaryOp, r: Expr) -> Expr {
@@ -642,70 +609,75 @@ mod tests {
         }
     }
 
+    fn jp(path: &str) -> Expr {
+        Expr::GetJsonObject {
+            column: 0,
+            path: JsonPath::parse(path).unwrap(),
+        }
+    }
+
     #[test]
     fn column_and_literal() {
         let row = vec![Cell::Int(7), Cell::Str("x".into())];
         assert_eq!(eval(&Expr::Column(1), &row), Cell::Str("x".into()));
         assert_eq!(eval(&Expr::Literal(Cell::Int(3)), &row), Cell::Int(3));
         let mut m = ExecMetrics::default();
-        assert!(Expr::Column(9)
-            .eval(&row, JsonParserKind::Jackson, &mut m)
-            .is_err());
+        assert!(eval_under(&Expr::Column(9), &row, &ExecOptions::serial(), &mut m).is_err());
+    }
+
+    /// A path the operator's extractor does not cover is a planner bug:
+    /// reported as an error, never parsed behind the extractor's back.
+    #[test]
+    fn uncovered_json_path_is_an_error() {
+        let row = vec![Cell::Str(r#"{"a": 1}"#.into())];
+        let ex = JsonExtractor::new([&jp("$.b")], &ExecOptions::serial());
+        let mut m = ExecMetrics::default();
+        let err = jp("$.a")
+            .eval(&row, &RowSlots::new(&ex), &mut m)
+            .unwrap_err();
+        assert!(err.to_string().contains("no extraction site"), "{err}");
+        assert_eq!(m.docs_parsed, 0);
     }
 
     #[test]
     fn get_json_object_charges_parse_time() {
         let row = vec![Cell::Str(r#"{"a": {"b": 42}}"#.into())];
-        let e = Expr::GetJsonObject {
-            column: 0,
-            path: JsonPath::parse("$.a.b").unwrap(),
-        };
+        let naive = ExecOptions::serial().with_shared_parse(false);
         let mut m = ExecMetrics::default();
         for _ in 0..10 {
             assert_eq!(
-                e.eval(&row, JsonParserKind::Jackson, &mut m).unwrap(),
+                eval_under(&jp("$.a.b"), &row, &naive, &mut m).unwrap(),
                 Cell::Str("42".into())
             );
         }
         assert_eq!(m.parse_calls, 10);
-        assert_eq!(m.docs_parsed, 10, "naive path parses per call");
+        assert_eq!(m.docs_parsed, 10, "no-memo extractor parses per call");
         assert!(m.parse > std::time::Duration::ZERO);
     }
 
     /// Shared-parse slots must change the counters (one parse, many calls)
     /// without changing any result.
     #[test]
-    fn eval_with_slots_shares_one_parse_across_paths() {
-        use crate::extract::{JsonExtractor, RowSlots};
+    fn shared_slots_share_one_parse_across_paths() {
         let row = vec![Cell::Str(r#"{"a": {"b": 42}, "c": "x"}"#.into())];
-        let paths = ["$.a.b", "$.c", "$.missing"];
-        let exprs: Vec<Expr> = paths
-            .iter()
-            .map(|p| Expr::GetJsonObject {
-                column: 0,
-                path: JsonPath::parse(p).unwrap(),
-            })
-            .collect();
-        let ex = JsonExtractor::from_exprs(exprs.iter()).unwrap();
+        let exprs: Vec<Expr> = ["$.a.b", "$.c", "$.missing"].map(jp).into();
         for parser in [
             JsonParserKind::Jackson,
             JsonParserKind::Mison,
             JsonParserKind::Tape,
         ] {
-            let mut shared_m = ExecMetrics::default();
-            let slots = RowSlots::new(&ex);
-            let shared: Vec<Cell> = exprs
-                .iter()
-                .map(|e| {
-                    e.eval_with(&row, parser, &mut shared_m, Some(&slots))
-                        .unwrap()
-                })
-                .collect();
-            let mut naive_m = ExecMetrics::default();
-            let naive: Vec<Cell> = exprs
-                .iter()
-                .map(|e| e.eval(&row, parser, &mut naive_m).unwrap())
-                .collect();
+            let run = |opts: ExecOptions, m: &mut ExecMetrics| -> Vec<Cell> {
+                let ex = JsonExtractor::new(&exprs, &opts);
+                let slots = RowSlots::new(&ex);
+                exprs
+                    .iter()
+                    .map(|e| e.eval(&row, &slots, m).unwrap())
+                    .collect()
+            };
+            let (mut shared_m, mut naive_m) = (ExecMetrics::default(), ExecMetrics::default());
+            let opts = ExecOptions::serial().with_parser(parser);
+            let shared = run(opts.clone().with_shared_parse(true), &mut shared_m);
+            let naive = run(opts.with_shared_parse(false), &mut naive_m);
             assert_eq!(shared, naive, "{parser:?}");
             assert_eq!(shared_m.parse_calls, naive_m.parse_calls);
             assert_eq!(shared_m.docs_parsed, 1);
@@ -717,13 +689,11 @@ mod tests {
     fn both_parsers_agree() {
         let row = vec![Cell::Str(r#"{"a": {"b": "v"}, "n": 5}"#.into())];
         for path in ["$.a.b", "$.n", "$.missing"] {
-            let e = Expr::GetJsonObject {
-                column: 0,
-                path: JsonPath::parse(path).unwrap(),
-            };
+            let e = jp(path);
             let mut m = ExecMetrics::default();
-            let jackson = e.eval(&row, JsonParserKind::Jackson, &mut m).unwrap();
-            let mison = e.eval(&row, JsonParserKind::Mison, &mut m).unwrap();
+            let jackson = eval_under(&e, &row, &ExecOptions::serial(), &mut m).unwrap();
+            let mison_opts = ExecOptions::serial().with_parser(JsonParserKind::Mison);
+            let mison = eval_under(&e, &row, &mison_opts, &mut m).unwrap();
             assert_eq!(jackson, mison, "path {path}");
         }
     }
@@ -893,10 +863,13 @@ mod tests {
 #[cfg(test)]
 mod new_op_tests {
     use super::*;
+    use crate::exec::ExecOptions;
+    use crate::extract::JsonExtractor;
 
     fn eval(e: &Expr, row: &[Cell]) -> Cell {
-        let mut m = ExecMetrics::default();
-        e.eval(row, JsonParserKind::Jackson, &mut m).unwrap()
+        let ex = JsonExtractor::new([e], &ExecOptions::serial());
+        e.eval(row, &RowSlots::new(&ex), &mut ExecMetrics::default())
+            .unwrap()
     }
 
     fn in_list(expr: Expr, items: Vec<Cell>, negated: bool) -> Expr {

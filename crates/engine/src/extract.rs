@@ -1,32 +1,38 @@
-//! Intra-query shared-parse extraction.
+//! The one JSON evaluation path.
 //!
-//! Maxson's cache removes *cross-query* duplicate parsing, but a single
-//! uncached query still re-parses: naive evaluation runs one full parse per
-//! `get_json_object` call, so a query with a JSON predicate plus K
-//! projected paths parses each row K+1 times. This module dedupes that
-//! work *within* one query: a [`JsonExtractor`] is built once per operator
-//! (or pipeline segment) from the compiled expressions, grouping every
-//! distinct `(column, path)` pair by JSON column; a per-row [`RowSlots`]
-//! then parses each document **at most once per column** — one shared DOM
-//! walk in Jackson mode ([`maxson_json::get_json_objects`]), one shared
-//! structural index in Mison mode
-//! ([`MisonProjector::project_paths`]), one shared typed tape in Tape mode
-//! ([`maxson_json::tape::project_paths`]) — and answers every later path
-//! evaluation from the filled slots. Slots hold `Arc<str>` values, so a
-//! path evaluated in both the filter and the projection clones a refcount,
-//! not the text.
+//! Every `get_json_object` the engine evaluates — in a filter, projection,
+//! aggregate, join key or sort key, and in the Maxson cache builder and the
+//! online-LRU miss fill, which evaluate the same expression — is answered
+//! by a [`JsonExtractor`] through a per-row [`RowSlots`]. The extractor is
+//! built once per operator (or pipeline segment) from the compiled
+//! expressions and the [`ExecOptions`] evaluation policy, which is two
+//! choices:
+//!
+//! * **which parser runs** ([`ExecOptions::parser`]): one full DOM walk in
+//!   Jackson mode ([`maxson_json::get_json_objects`]), one structural index
+//!   in Mison mode ([`MisonProjector::project_paths`]), one typed tape in
+//!   Tape mode ([`maxson_json::tape::project_paths`]). The `match` choosing
+//!   between them is the workspace's only parser dispatch;
+//! * **whether a row's parse is shared** ([`ExecOptions::shared_parse`]).
+//!   With the memo on, the extractor groups every distinct `(column, path)`
+//!   pair by JSON column and the row's slots parse each document **at most
+//!   once per column**, answering every later path from the filled slots.
+//!   Slots hold `Arc<str>` values, so a path evaluated in both the filter
+//!   and the projection clones a refcount, not the text. With the memo off,
+//!   every access parses the document for the one path asked for — the
+//!   naive one-parse-per-call baseline of the paper's Fig. 3.
 //!
 //! Laziness is preserved: slots fill on the *first* path access for a row,
 //! so rows skipped by SARG/row-group pruning never parse, and a predicate
 //! that decides a row without touching any JSON path (short-circuit on a
-//! raw column) parses nothing. Byte-identity with the naive path holds
-//! because the shared evaluators run the exact same per-path machinery as
-//! the per-call ones; only the parse is hoisted.
+//! raw column) parses nothing. Both policies give byte-identical results
+//! because the multi-path parser entry points answer each path exactly as
+//! their single-path forms do; only the number of parses differs.
 //!
-//! Accounting: every evaluation still charges
-//! [`ExecMetrics::parse_calls`]; the actual parse charges
-//! [`ExecMetrics::docs_parsed`] (and parse wall time) once. The ratio of
-//! the two counters is the intra-query dedup factor surfaced by
+//! Accounting: every evaluation charges [`ExecMetrics::parse_calls`]; every
+//! actual parse charges [`ExecMetrics::docs_parsed`], parse wall time,
+//! tape skips and structural-bitmap builds once. The ratio of the first two
+//! counters is the intra-query dedup factor surfaced by
 //! `ExecMetrics::summary` and the bench reports.
 
 use std::cell::RefCell;
@@ -34,10 +40,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use maxson_json::mison::MisonProjector;
+use maxson_json::tape::{self, TapeStats};
 use maxson_json::JsonPath;
 
+use crate::exec::ExecOptions;
 use crate::expr::{Expr, JsonParserKind};
 use crate::metrics::ExecMetrics;
+
+/// One extraction result per path: the rendered value, or `None` on a miss.
+type Extracted = Vec<Option<Arc<str>>>;
 
 /// All paths a query needs from one JSON column, in first-seen plan order.
 #[derive(Debug)]
@@ -49,21 +60,23 @@ struct ColumnGroup {
 }
 
 /// The deduplicated `(column, path)` extraction sites of one operator (or
-/// scan-pipeline segment). Shared across all rows — and, being read-only,
-/// across all split tasks — while each row gets its own [`RowSlots`].
+/// scan-pipeline segment) plus the policy evaluating them. Shared across
+/// all rows — and, being read-only, across all split tasks — while each
+/// row gets its own [`RowSlots`].
 #[derive(Debug)]
 pub struct JsonExtractor {
     groups: Vec<ColumnGroup>,
+    parser: JsonParserKind,
+    shared_parse: bool,
 }
 
 impl JsonExtractor {
     /// Collect every distinct `(column, path)` pair from the given compiled
-    /// expression trees. Returns `None` when the expressions contain no
-    /// `GetJsonObject` at all (evaluation then skips slot management
-    /// entirely). Note that Maxson-cached paths were already compiled to
-    /// plain `Column` placeholders, so only *residual* uncached paths
-    /// arrive here — composition with the combiner is automatic.
-    pub fn from_exprs<'a>(exprs: impl IntoIterator<Item = &'a Expr>) -> Option<JsonExtractor> {
+    /// expression trees, to be evaluated under `opts`' parser and parse
+    /// sharing. Maxson-cached paths were already compiled to plain `Column`
+    /// placeholders, so only *residual* uncached paths arrive here —
+    /// composition with the combiner is automatic.
+    pub fn new<'a>(exprs: impl IntoIterator<Item = &'a Expr>, opts: &ExecOptions) -> JsonExtractor {
         let mut groups: Vec<ColumnGroup> = Vec::new();
         for e in exprs {
             e.walk(&mut |node| {
@@ -82,21 +95,11 @@ impl JsonExtractor {
                 }
             });
         }
-        if groups.is_empty() {
-            None
-        } else {
-            Some(JsonExtractor { groups })
+        JsonExtractor {
+            groups,
+            parser: opts.parser,
+            shared_parse: opts.shared_parse,
         }
-    }
-
-    /// Number of JSON columns covered.
-    pub fn column_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total distinct `(column, path)` pairs covered.
-    pub fn path_count(&self) -> usize {
-        self.groups.iter().map(|g| g.paths.len()).sum()
     }
 
     /// Locate a `(column, path)` pair: `(group index, path index)`.
@@ -106,18 +109,14 @@ impl JsonExtractor {
         Some((gi, pi))
     }
 
-    /// Parse `json` once and evaluate every path of group `gi` against it.
-    /// Tape mode charges its skip counter and build/navigate wall split to
-    /// `metrics` (the other modes have no tape to account for).
-    fn extract_group(
-        &self,
-        gi: usize,
-        json: &str,
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Vec<Option<Arc<str>>> {
-        let paths = &self.groups[gi].paths;
-        match parser {
+    /// Parse `json` once and evaluate every path in `paths` against it
+    /// (entry `i` answers `paths[i]`; an invalid document answers all
+    /// `None`), charging one parse to `metrics`.
+    fn parse(&self, json: &str, paths: &[JsonPath], metrics: &mut ExecMetrics) -> Extracted {
+        let kernels_before = maxson_json::kernels::thread_build_stats();
+        let start = Instant::now();
+        let mut stats = TapeStats::default();
+        let values = match self.parser {
             JsonParserKind::Jackson => maxson_json::get_json_objects(json, paths)
                 .into_iter()
                 .map(|v| v.map(Arc::from))
@@ -126,79 +125,75 @@ impl JsonExtractor {
                 .into_iter()
                 .map(|v| v.map(Arc::from))
                 .collect(),
-            JsonParserKind::Tape => {
-                let start = Instant::now();
-                let tape = maxson_json::tape::TapeDoc::build(json).ok();
-                metrics.tape_build_wall += start.elapsed();
-                let nav = Instant::now();
-                let mut stats = maxson_json::tape::TapeStats::default();
-                let values = match &tape {
-                    Some(t) => t.eval_paths(paths, &mut stats),
-                    None => vec![None; paths.len()],
-                };
-                metrics.tape_nav_wall += nav.elapsed();
-                metrics.nodes_skipped += stats.nodes_skipped;
-                values
-            }
-        }
+            JsonParserKind::Tape => tape::project_paths(json, paths, &mut stats),
+        };
+        let spent = start.elapsed();
+        metrics.parse += spent;
+        metrics.parse_wall += spent;
+        metrics.docs_parsed += 1;
+        metrics.nodes_skipped += stats.nodes_skipped;
+        metrics.charge_bitmap_builds(kernels_before);
+        values
     }
 }
 
 /// Per-row lazily-filled extraction slots over a shared [`JsonExtractor`].
 ///
 /// Created fresh for each row; interior mutability keeps the evaluator
-/// signature by-shared-reference so `Option<&RowSlots>` threads through
-/// expression recursion without borrow gymnastics.
+/// signature by-shared-reference so `&RowSlots` threads through expression
+/// recursion without borrow gymnastics.
 pub struct RowSlots<'e> {
     extractor: &'e JsonExtractor,
-    /// One entry per column group; `None` until the first path access for
-    /// this row triggers the (single) parse.
-    filled: RefCell<Vec<Option<Vec<Option<Arc<str>>>>>>,
+    /// One entry per column group when the parse is shared (empty
+    /// otherwise); `None` until the first path access for this row
+    /// triggers the (single) parse.
+    filled: RefCell<Vec<Option<Extracted>>>,
 }
 
 impl<'e> RowSlots<'e> {
     /// Empty slots for one row.
     pub fn new(extractor: &'e JsonExtractor) -> Self {
+        let groups = if extractor.shared_parse {
+            extractor.groups.len()
+        } else {
+            0
+        };
         RowSlots {
             extractor,
-            filled: RefCell::new(vec![None; extractor.groups.len()]),
+            filled: RefCell::new(vec![None; groups]),
         }
     }
 
     /// Answer one `(column, path)` evaluation over this row's `json`
-    /// document. Returns `None` when the pair is not covered by the
-    /// extractor (the caller falls back to a direct parse); otherwise the
-    /// inner `Option<Arc<str>>` is the extraction result, exactly as the
-    /// naive per-call parse would produce it (shared, not copied, on every
-    /// subsequent access).
+    /// document: the extracted value, or `None` on a miss. Returns `None`
+    /// outright when the pair is not covered by the extractor (a planner
+    /// bug the caller reports).
     ///
-    /// The first covered access parses the document and charges
-    /// `docs_parsed` + parse wall time; every access (hit or fill) charges
-    /// `parse_calls`, keeping that counter identical to the naive path.
+    /// Every covered access charges `parse_calls`. With the parse shared,
+    /// the first access per column parses the document and later ones
+    /// clone a refcount; without, every access parses.
     pub fn get(
         &self,
         json: &str,
         column: usize,
         path: &JsonPath,
-        parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Option<Option<Arc<str>>> {
         let (gi, pi) = self.extractor.lookup(column, path)?;
-        let mut filled = self.filled.borrow_mut();
-        if filled[gi].is_none() {
-            let kernels_before = maxson_json::kernels::thread_build_stats();
-            let start = Instant::now();
-            let values = self.extractor.extract_group(gi, json, parser, metrics);
-            let spent = start.elapsed();
-            metrics.parse += spent;
-            metrics.parse_wall += spent;
-            metrics.docs_parsed += 1;
-            metrics.charge_bitmap_builds(kernels_before);
-            filled[gi] = Some(values);
-        }
         metrics.parse_calls += 1;
         metrics.charge_path_extract(path.text());
-        Some(filled[gi].as_ref().expect("slot group just filled")[pi].clone())
+        if !self.extractor.shared_parse {
+            let mut values = self
+                .extractor
+                .parse(json, std::slice::from_ref(path), metrics);
+            return values.pop();
+        }
+        let mut filled = self.filled.borrow_mut();
+        let values = filled[gi].get_or_insert_with(|| {
+            self.extractor
+                .parse(json, &self.extractor.groups[gi].paths, metrics)
+        });
+        Some(values[pi].clone())
     }
 }
 
@@ -223,57 +218,61 @@ mod tests {
             right: Box::new(Expr::Literal(Cell::Int(1))),
         };
         let select = [jp(0, "$.a"), jp(0, "$.b"), jp(2, "$.a")];
-        let ex = JsonExtractor::from_exprs(std::iter::once(&filter).chain(select.iter())).unwrap();
-        assert_eq!(ex.column_count(), 2);
-        assert_eq!(ex.path_count(), 3, "repeated $.a on column 0 deduped");
+        let ex = JsonExtractor::new(
+            std::iter::once(&filter).chain(select.iter()),
+            &ExecOptions::serial(),
+        );
+        assert_eq!(ex.groups.len(), 2);
+        let paths: usize = ex.groups.iter().map(|g| g.paths.len()).sum();
+        assert_eq!(paths, 3, "repeated $.a on column 0 deduped");
         assert!(ex.lookup(0, &JsonPath::parse("$.b").unwrap()).is_some());
         assert!(ex.lookup(2, &JsonPath::parse("$.a").unwrap()).is_some());
         assert!(ex.lookup(2, &JsonPath::parse("$.b").unwrap()).is_none());
     }
 
     #[test]
-    fn no_json_paths_yields_no_extractor() {
+    fn no_json_paths_covers_nothing() {
         let e = Expr::Column(3);
-        assert!(JsonExtractor::from_exprs([&e]).is_none());
+        let ex = JsonExtractor::new([&e], &ExecOptions::serial());
+        assert!(ex.groups.is_empty());
     }
 
+    /// Both policies answer every path identically; only the number of
+    /// parses differs — one per row shared, one per access without.
     #[test]
-    fn slots_parse_once_per_row_and_answer_all_paths() {
+    fn slots_parse_once_per_row_shared_and_once_per_call_without() {
         let exprs = [jp(0, "$.a"), jp(0, "$.b"), jp(0, "$.missing")];
-        let ex = JsonExtractor::from_exprs(exprs.iter()).unwrap();
         let json = r#"{"a": 1, "b": "x"}"#;
         for parser in [
             JsonParserKind::Jackson,
             JsonParserKind::Mison,
             JsonParserKind::Tape,
         ] {
-            let mut m = ExecMetrics::default();
-            let slots = RowSlots::new(&ex);
-            let a = slots.get(json, 0, &JsonPath::parse("$.a").unwrap(), parser, &mut m);
-            let b = slots.get(json, 0, &JsonPath::parse("$.b").unwrap(), parser, &mut m);
-            let miss = slots.get(
-                json,
-                0,
-                &JsonPath::parse("$.missing").unwrap(),
-                parser,
-                &mut m,
-            );
-            assert_eq!(a, Some(Some("1".into())));
-            assert_eq!(b, Some(Some("x".into())));
-            assert_eq!(miss, Some(None));
-            assert_eq!(m.docs_parsed, 1, "one parse for three evaluations");
-            assert_eq!(m.parse_calls, 3);
-            // Uncovered pairs fall back to the caller.
-            assert!(slots
-                .get(json, 1, &JsonPath::parse("$.a").unwrap(), parser, &mut m)
-                .is_none());
+            for (shared_parse, parses) in [(true, 1), (false, 3)] {
+                let opts = ExecOptions::serial()
+                    .with_parser(parser)
+                    .with_shared_parse(shared_parse);
+                let ex = JsonExtractor::new(exprs.iter(), &opts);
+                let mut m = ExecMetrics::default();
+                let slots = RowSlots::new(&ex);
+                let mut get = |p: &str| slots.get(json, 0, &JsonPath::parse(p).unwrap(), &mut m);
+                assert_eq!(get("$.a"), Some(Some("1".into())));
+                assert_eq!(get("$.b"), Some(Some("x".into())));
+                assert_eq!(get("$.missing"), Some(None));
+                // Uncovered pairs are refused, not parsed.
+                assert!(slots
+                    .get(json, 1, &JsonPath::parse("$.a").unwrap(), &mut m)
+                    .is_none());
+                assert_eq!(m.docs_parsed, parses, "{parser:?} shared={shared_parse}");
+                assert_eq!(m.parse_calls, 3);
+            }
         }
     }
 
     #[test]
     fn slots_stay_lazy_until_first_access() {
         let exprs = [jp(0, "$.a")];
-        let ex = JsonExtractor::from_exprs(exprs.iter()).unwrap();
+        let ex = JsonExtractor::new(exprs.iter(), &ExecOptions::serial());
         let m = ExecMetrics::default();
         let _slots = RowSlots::new(&ex);
         assert_eq!(m.docs_parsed, 0, "constructing slots must not parse");

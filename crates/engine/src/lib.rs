@@ -11,9 +11,10 @@
 //! * [`expr`] — a physical expression tree with SQL NULL semantics; the
 //!   `get_json_object` expression is where JSON parse time is burned and
 //!   metered,
-//! * [`extract`] — intra-query shared-parse extraction: each JSON document
-//!   is parsed once per row and all the query's paths are answered from
-//!   that single parse (toggle: `MAXSON_SHARED_PARSE`),
+//! * [`extract`] — the one JSON evaluation path and parser dispatch: with
+//!   shared parsing each JSON document is parsed once per row and all the
+//!   query's paths are answered from that single parse; without it
+//!   (`MAXSON_SHARED_PARSE=0`) every call parses,
 //! * [`plan`] — the logical plan with a [`scan::ScanProvider`]
 //!   extension point that Maxson's combined reader plugs into,
 //! * [`scan`] — the one-method scan interface

@@ -316,12 +316,6 @@ metric_table! {
         /// without visiting (unqueried sibling subtrees). Zero in Jackson
         /// and Mison modes — those parsers have no tape to skip.
         nodes_skipped: u64 => sum work;
-        /// Tape mode: wall time spent building tapes (structural index +
-        /// typed tape), summed across tasks like `parse`.
-        tape_build_wall: Duration => sum;
-        /// Tape mode: wall time spent navigating built tapes and rendering
-        /// the queried spans (the on-demand half), summed across tasks.
-        tape_nav_wall: Duration => sum;
     }
     // Structural-bitmap kernels (Mison and tape).
     nonzero {
@@ -876,12 +870,9 @@ mod tests {
         );
         let t = ExecMetrics {
             nodes_skipped: 7,
-            tape_build_wall: Duration::from_micros(10),
             ..Default::default()
         };
         assert!(t.summary().contains("nodes_skipped=7"));
-        assert!(t.summary().contains("tape_build_wall="));
-        assert!(t.summary().contains("tape_nav_wall="));
         assert!(l.summary().contains("lru_hits=3"));
         assert!(l.summary().contains("lru_ratio=0.75"));
         assert!(l.summary().contains("lru_evictions=2"));

@@ -241,8 +241,8 @@ impl ReuseCache {
     }
 
     /// Offer an entry for admission. The caller has already executed the
-    /// query; `rows` are the finished output (shared, so admission never
-    /// copies them). `planned_gen` is the [`ReuseCache::generation`]
+    /// query; `entry` holds the finished output rows (shared, so admission
+    /// never copies them) and their schema. `planned_gen` is the [`ReuseCache::generation`]
     /// observed when the query planned: a mismatch means an invalidation
     /// (catalog write, table append, epoch swap) ran while the query was
     /// executing, so its rows come from a pre-invalidation snapshot and
@@ -250,8 +250,7 @@ impl ReuseCache {
     pub fn fill(
         &self,
         key: u64,
-        rows: Arc<Vec<Vec<Cell>>>,
-        schema: Schema,
+        entry: CachedEntry,
         epoch: u64,
         tables: Vec<String>,
         wall_ns: u64,
@@ -263,6 +262,7 @@ impl ReuseCache {
         if self.inject_fill_panic.swap(false, Ordering::SeqCst) {
             panic!("reuse: injected fill-path panic");
         }
+        let CachedEntry { rows, schema } = entry;
         let bytes = rows_bytes(&rows);
         let budget = self.budget_bytes.load(Ordering::Relaxed);
         let mut inner = self.lock();
@@ -485,6 +485,13 @@ mod tests {
         Arc::new((0..n).map(|i| vec![Cell::Int(i as i64)]).collect())
     }
 
+    fn entry(rows: Arc<Vec<Vec<Cell>>>) -> CachedEntry {
+        CachedEntry {
+            rows,
+            schema: schema(),
+        }
+    }
+
     /// A wall estimate big enough that the ns/byte floor never interferes
     /// with the policy under test.
     const EXPENSIVE: u64 = u64::MAX / 4;
@@ -496,8 +503,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -517,8 +523,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(4),
-            schema(),
+            entry(rows(4)),
             7,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -534,8 +539,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.a".into()],
             EXPENSIVE,
@@ -543,8 +547,7 @@ mod tests {
         );
         c.fill(
             2,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.b".into()],
             EXPENSIVE,
@@ -560,8 +563,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -583,8 +585,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                big,
-                schema(),
+                entry(big),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -607,8 +608,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                large,
-                schema(),
+                entry(large),
                 0,
                 vec!["db.t".into()],
                 1000,
@@ -618,15 +618,7 @@ mod tests {
         );
         // Small entries skip the cost model entirely.
         assert_eq!(
-            c.fill(
-                2,
-                rows(1),
-                schema(),
-                0,
-                vec!["db.t".into()],
-                1,
-                c.generation()
-            ),
+            c.fill(2, entry(rows(1)), 0, vec!["db.t".into()], 1, c.generation()),
             FillOutcome::Admitted
         );
     }
@@ -645,8 +637,7 @@ mod tests {
         for key in 0..30u64 {
             c.fill(
                 key,
-                make(),
-                schema(),
+                entry(make()),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -670,8 +661,7 @@ mod tests {
             let n = 50 + (key as usize % 300);
             c.fill(
                 key,
-                rows(n),
-                schema(),
+                entry(rows(n)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -690,8 +680,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -702,8 +691,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 2,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -721,8 +709,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.fill(
                 1,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -734,8 +721,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -757,8 +743,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -775,8 +760,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -811,23 +795,14 @@ mod tests {
         // ~140 bytes per row. Fill order fixes the (freq, last_used) scan
         // order: a tiny, cheap entry first (the evictable head of the
         // victim scan)...
-        c.fill(1, strs(70), schema(), 0, vec!["db.t".into()], 1_000, gen);
+        c.fill(1, entry(strs(70)), 0, vec!["db.t".into()], 1_000, gen);
         // ...then a same-freq but high-value resident the policy protects...
-        c.fill(
-            2,
-            strs(1800),
-            schema(),
-            0,
-            vec!["db.t".into()],
-            EXPENSIVE,
-            gen,
-        );
+        c.fill(2, entry(strs(1800)), 0, vec!["db.t".into()], EXPENSIVE, gen);
         // ...then hotter residents that fill the budget.
         for key in 3..6u64 {
             c.fill(
                 key,
-                strs(1800),
-                schema(),
+                entry(strs(1800)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -844,8 +819,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 9,
-                strs(700),
-                schema(),
+                entry(strs(700)),
                 0,
                 vec!["db.t".into()],
                 1_000_000_000,
@@ -870,8 +844,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(3),
-            schema(),
+            entry(rows(3)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,

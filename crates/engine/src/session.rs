@@ -497,7 +497,8 @@ impl Session {
 
     /// Set (or clear) intra-query shared-parse extraction. `None` resolves
     /// from `MAXSON_SHARED_PARSE` at each `execute` call (default: on);
-    /// `Some(false)` pins the naive parse-per-call reference path. Tests
+    /// `Some(false)` pins the no-memo extractor, the naive parse-per-call
+    /// reference path. Tests
     /// prefer this over the env var to avoid process-global races.
     pub fn set_shared_parse(&mut self, shared_parse: Option<bool>) {
         self.shared_parse = shared_parse;
@@ -524,7 +525,8 @@ impl Session {
             Some(on) => opts.with_shared_parse(on),
             None => opts,
         };
-        opts.with_scheduler(self.scheduler.clone())
+        opts.with_parser(self.parser_kind)
+            .with_scheduler(self.scheduler.clone())
     }
 
     /// Enable/disable the Sparser-style raw prefilter: when a predicate
@@ -534,15 +536,10 @@ impl Session {
         self.prefilter_enabled = enabled;
     }
 
-    /// Which JSON parser `get_json_object` uses (Fig. 15's axis).
-    pub fn set_parser_kind(&mut self, kind: JsonParserKind) {
-        self.parser_kind = kind;
-    }
-
-    /// Alias for [`Session::set_parser_kind`]: pin the parser mode,
-    /// overriding the `MAXSON_PARSER` environment default.
+    /// Which JSON parser `get_json_object` uses (Fig. 15's axis), overriding
+    /// the `MAXSON_PARSER` environment default.
     pub fn set_parser(&mut self, kind: JsonParserKind) {
-        self.set_parser_kind(kind);
+        self.parser_kind = kind;
     }
 
     /// Pin the structural-kernel tier used for bitmap construction and
@@ -826,7 +823,6 @@ impl Session {
                     );
                     execute_plan_traced(
                         &rebuilt,
-                        self.parser_kind,
                         &mut metrics,
                         &self.exec_options(),
                         tracer,
@@ -839,42 +835,38 @@ impl Session {
                     //    DISTINCT both run after full materialization in
                     //    this engine, so the split adds no work and the
                     //    output is byte-identical to the unsplit plan.
-                    let mut frag_fill: Option<(u64, Arc<Vec<Vec<Cell>>>, Schema)> = None;
+                    let mut frag_fill: Option<(u64, CachedEntry)> = None;
                     let exec_rows = match frag_key {
                         Some(fkey) => {
                             let frag_plan = peel_uppers(plan);
-                            let frag_schema = frag_plan.schema().clone();
-                            let frag_rows = Arc::new(execute_plan_traced(
-                                &frag_plan,
-                                self.parser_kind,
-                                &mut metrics,
-                                &self.exec_options(),
-                                tracer,
-                                root.id(),
-                            )?);
+                            let fragment = CachedEntry {
+                                schema: frag_plan.schema().clone(),
+                                rows: Arc::new(execute_plan_traced(
+                                    &frag_plan,
+                                    &mut metrics,
+                                    &self.exec_options(),
+                                    tracer,
+                                    root.id(),
+                                )?),
+                            };
                             let rebuilt = rebuild_uppers(
                                 LogicalPlan::Scan {
-                                    provider: Box::new(CachedRowsProvider::new(CachedEntry {
-                                        rows: Arc::clone(&frag_rows),
-                                        schema: frag_schema.clone(),
-                                    })),
+                                    provider: Box::new(CachedRowsProvider::new(fragment.clone())),
                                 },
                                 &stmt,
                             );
                             let out = execute_plan_traced(
                                 &rebuilt,
-                                self.parser_kind,
                                 &mut metrics,
                                 &self.exec_options(),
                                 tracer,
                                 root.id(),
                             )?;
-                            frag_fill = Some((fkey, frag_rows, frag_schema));
+                            frag_fill = Some((fkey, fragment));
                             out
                         }
                         None => execute_plan_traced(
                             &plan,
-                            self.parser_kind,
                             &mut metrics,
                             &self.exec_options(),
                             tracer,
@@ -890,11 +882,10 @@ impl Session {
                             // computed rows are returned unchanged.
                             let fill =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if let Some((fkey, frows, fschema)) = &frag_fill {
+                                    if let Some((fkey, fragment)) = &frag_fill {
                                         cache.fill(
                                             *fkey,
-                                            Arc::clone(frows),
-                                            fschema.clone(),
+                                            fragment.clone(),
                                             epoch,
                                             tables.clone(),
                                             wall_ns,
@@ -907,8 +898,10 @@ impl Session {
                                     };
                                     cache.fill(
                                         key,
-                                        Arc::clone(&shared),
-                                        out_schema,
+                                        CachedEntry {
+                                            rows: Arc::clone(&shared),
+                                            schema: out_schema,
+                                        },
                                         epoch,
                                         tables.clone(),
                                         wall_ns,

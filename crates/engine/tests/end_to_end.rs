@@ -181,7 +181,7 @@ fn mison_parser_produces_same_results() {
     let (mut session, root) = sales_session("mison");
     let sql = "select get_json_object(sale_logs, '$.item_name') as item from mydb.t order by item";
     let jackson = session.execute(sql).unwrap();
-    session.set_parser_kind(JsonParserKind::Mison);
+    session.set_parser(JsonParserKind::Mison);
     let mison = session.execute(sql).unwrap();
     assert_eq!(jackson.rows, mison.rows);
     std::fs::remove_dir_all(&root).ok();

@@ -231,40 +231,17 @@ impl<'a> StructuralIndex<'a> {
     }
 }
 
-/// A Mison-style projector: given a set of JSONPaths, extracts their values
-/// from raw records without a full DOM parse.
+/// A Mison-style projector: extracts JSONPath values from raw records
+/// without a full DOM parse.
 ///
 /// Paths with nested object steps are resolved by descending through the
 /// same index. Wildcards and array indexes fall back to parsing just the
 /// sliced subtree with the DOM parser (still far less text than the full
 /// record).
 #[derive(Debug)]
-pub struct MisonProjector {
-    paths: Vec<JsonPath>,
-}
+pub struct MisonProjector;
 
 impl MisonProjector {
-    /// Compile a projector for `paths`.
-    pub fn new(paths: Vec<JsonPath>) -> Self {
-        MisonProjector { paths }
-    }
-
-    /// The compiled paths, in projection order.
-    pub fn paths(&self) -> &[JsonPath] {
-        &self.paths
-    }
-
-    /// Project all compiled paths out of `record`. Entry `i` is the Hive
-    /// string rendering of path `i`, or `None` on a miss.
-    pub fn project(&self, record: &str) -> Vec<Option<String>> {
-        let index = StructuralIndex::build(record);
-        let root = index.skip_ws_after(0);
-        self.paths
-            .iter()
-            .map(|p| project_one(record, &index, root, p.steps()))
-            .collect()
-    }
-
     /// Project a single path out of `record` (builds a fresh index).
     pub fn project_path(record: &str, path: &JsonPath) -> Option<String> {
         let index = StructuralIndex::build(record);
@@ -274,7 +251,8 @@ impl MisonProjector {
 
     /// Project many paths out of `record` over **one** structural index —
     /// the Mison-mode half of intra-query shared parsing. Entry `i` answers
-    /// `paths[i]` and is byte-identical to what [`Self::project_path`] would
+    /// `paths[i]` (the Hive string rendering, or `None` on a miss) and is
+    /// byte-identical to what [`Self::project_path`] would
     /// return for the same pair: both go through the same `project_one`
     /// probe, only the index build is shared.
     pub fn project_paths(record: &str, paths: &[JsonPath]) -> Vec<Option<String>> {
@@ -457,8 +435,7 @@ mod tests {
             JsonPath::parse("$.missing").unwrap(),
             JsonPath::parse("$.nested.a.b").unwrap(),
         ];
-        let proj = MisonProjector::new(paths);
-        let got = proj.project(RECORD);
+        let got = MisonProjector::project_paths(RECORD, &paths);
         assert_eq!(
             got,
             vec![Some("1".to_string()), None, Some("9".to_string())]

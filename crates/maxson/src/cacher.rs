@@ -18,9 +18,13 @@
 
 use std::collections::BTreeMap;
 
+use maxson_engine::exec::ExecOptions;
+use maxson_engine::expr::{Expr, JsonParserKind};
+use maxson_engine::extract::{JsonExtractor, RowSlots};
+use maxson_engine::metrics::ExecMetrics;
 use maxson_json::{parse as json_parse, JsonPath, JsonValue};
 use maxson_storage::file::WriteOptions;
-use maxson_storage::{Catalog, Cell, ColumnType, Field, Schema};
+use maxson_storage::{Catalog, Cell, ColumnType, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
 
 use crate::error::{MaxsonError, Result};
@@ -299,7 +303,7 @@ impl JsonPathCacher {
     ) -> Result<u64> {
         // Compile paths and build the cache schema.
         let mut fields = Vec::with_capacity(cands.len());
-        let mut compiled: Vec<(usize, JsonPath, String)> = Vec::with_capacity(cands.len());
+        let mut compiled: Vec<Expr> = Vec::with_capacity(cands.len());
         let raw = catalog.table(database, table_name)?.clone();
         for cand in cands {
             let field_name = cache_field_name(&cand.location.column, &cand.location.path);
@@ -314,8 +318,11 @@ impl JsonPathCacher {
                 })?;
             let path = JsonPath::parse(&cand.location.path)
                 .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-            fields.push(Field::new(field_name.clone(), ColumnType::Utf8));
-            compiled.push((col_idx, path, field_name));
+            fields.push(Field::new(field_name, ColumnType::Utf8));
+            compiled.push(Expr::GetJsonObject {
+                column: col_idx,
+                path,
+            });
         }
         let cache_schema = Schema::new(fields).map_err(MaxsonError::Storage)?;
         let ct_name = cache_table_name(database, table_name);
@@ -325,19 +332,12 @@ impl JsonPathCacher {
         // per-split parses are independent, so they run on worker threads
         // (the paper's population step is "done in a scalable way using
         // Spark"); the appends stay sequential to preserve file order.
-        let needed: Vec<usize> = {
-            let mut v: Vec<usize> = compiled.iter().map(|(c, _, _)| *c).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
         let split_results: Vec<Result<ParsedSplit>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..raw.file_count())
                 .map(|split| {
                     let raw = &raw;
                     let compiled = &compiled;
-                    let needed = &needed;
-                    scope.spawn(move || parse_split(raw, split, compiled, needed))
+                    scope.spawn(move || parse_split(raw, split, compiled))
                 })
                 .collect();
             handles
@@ -374,69 +374,21 @@ impl JsonPathCacher {
 /// One parsed raw split: `(rows, row_group_size, bytes)`.
 type ParsedSplit = (Vec<Vec<Cell>>, usize, u64);
 
-/// The cached paths of one source column, grouped so cache population
-/// builds exactly one tape per raw JSON document no matter how many paths
-/// it caches from it — the combiner-side mirror of the engine's
-/// shared-parse slots.
-struct ColumnPaths {
-    /// Raw-table column index holding the JSON string.
-    col: usize,
-    /// Cache-row slot each path fills, in `paths` order.
-    slots: Vec<usize>,
-    /// The cached paths over this column.
-    paths: Vec<JsonPath>,
+/// The evaluation policy of cache population and the online-LRU miss
+/// fill: the tape parser, one parse per document shared by every path over
+/// it.
+pub(crate) fn tape_extraction() -> ExecOptions {
+    ExecOptions::serial()
+        .with_parser(JsonParserKind::Tape)
+        .with_shared_parse(true)
 }
 
-/// Group `(column, path)` cache fields by column, remembering each field's
-/// cache-row slot.
-fn group_by_column<'a>(pairs: impl Iterator<Item = (usize, &'a JsonPath)>) -> Vec<ColumnPaths> {
-    let mut groups: Vec<ColumnPaths> = Vec::new();
-    for (slot, (col, path)) in pairs.enumerate() {
-        match groups.iter_mut().find(|g| g.col == col) {
-            Some(g) => {
-                g.slots.push(slot);
-                g.paths.push(path.clone());
-            }
-            None => groups.push(ColumnPaths {
-                col,
-                slots: vec![slot],
-                paths: vec![path.clone()],
-            }),
-        }
-    }
-    groups
-}
-
-/// Fill cache row `i` from the raw columns: one tape per JSON document
-/// answers every cached path over it. Non-string and invalid documents
-/// leave their slots `Null`, exactly as the per-path DOM parse would.
-fn extract_cache_row(
-    groups: &[ColumnPaths],
-    cols: &[maxson_storage::ColumnData],
-    col_of: impl Fn(usize) -> usize,
-    i: usize,
-    width: usize,
-) -> Vec<Cell> {
-    let mut row = vec![Cell::Null; width];
-    let mut stats = maxson_json::tape::TapeStats::default();
-    for g in groups {
-        if let Cell::Str(json) = cols[col_of(g.col)].get(i) {
-            let values = maxson_json::tape::project_paths(&json, &g.paths, &mut stats);
-            for (&slot, value) in g.slots.iter().zip(values) {
-                row[slot] = value.map_or(Cell::Null, Cell::from);
-            }
-        }
-    }
-    row
-}
-
-/// Parse one raw split into cache rows.
-fn parse_split(
-    raw: &maxson_storage::Table,
-    split: usize,
-    compiled: &[(usize, JsonPath, String)],
-    needed: &[usize],
-) -> Result<ParsedSplit> {
+/// Parse one raw split into cache rows: column `j` of cache row `i` is
+/// `fields[j]` (a `get_json_object` over a raw-table column) on raw row
+/// `i`. The fields are evaluated like a query's, so one tape per JSON
+/// document answers every cached path over it, and non-string or invalid
+/// documents give `Null`.
+fn parse_split(raw: &Table, split: usize, fields: &[Expr]) -> Result<ParsedSplit> {
     let file = raw.open_split(split)?;
     // Reconstruct the raw file's row-group size so boundaries match.
     let rg_size = file
@@ -444,21 +396,29 @@ fn parse_split(
         .map(|rg| rg.row_count)
         .max()
         .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
-    let cols = file.read_columns(needed, None)?;
+    let mut needed = std::collections::BTreeSet::new();
+    for field in fields {
+        field.collect_columns(&mut needed);
+    }
+    let needed: Vec<usize> = needed.into_iter().collect();
+    let cols = file.read_columns(&needed, None)?;
     let n = cols.first().map_or(0, |c| c.len());
-    let col_of = |idx: usize| -> usize {
-        needed
-            .iter()
-            .position(|&c| c == idx)
-            .expect("requested column")
-    };
-    let groups = group_by_column(compiled.iter().map(|(c, p, _)| (*c, p)));
+    let extractor = JsonExtractor::new(fields, &tape_extraction());
+    // Parse work is not reported for cache population.
+    let mut unreported = ExecMetrics::default();
+    let mut raw_row = vec![Cell::Null; raw.schema().fields().len()];
     let mut bytes = 0u64;
     let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(n);
     for i in 0..n {
-        let row = extract_cache_row(&groups, &cols, col_of, i, compiled.len());
-        for value in &row {
+        for (col, &c) in cols.iter().zip(&needed) {
+            raw_row[c] = col.get(i);
+        }
+        let slots = RowSlots::new(&extractor);
+        let mut row = Vec::with_capacity(fields.len());
+        for field in fields {
+            let value = field.eval(&raw_row, &slots, &mut unreported)?;
             bytes += value.byte_size() as u64;
+            row.push(value);
         }
         rows.push(row);
     }
@@ -705,7 +665,7 @@ impl JsonPathCacher {
             }
             // Compile the cached paths of this table in cache-schema order.
             let cache_schema = catalog.table(CACHE_DB, &ct_name)?.schema().clone();
-            let mut compiled: Vec<(usize, JsonPath)> = Vec::new();
+            let mut compiled: Vec<Expr> = Vec::new();
             for field in cache_schema.fields() {
                 let entry = entries
                     .iter()
@@ -727,41 +687,14 @@ impl JsonPathCacher {
                     })?;
                 let path = JsonPath::parse(&entry.location.path)
                     .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-                compiled.push((col_idx, path));
+                compiled.push(Expr::GetJsonObject {
+                    column: col_idx,
+                    path,
+                });
             }
             // Parse only the new splits.
             for split in cache_files..raw.file_count() {
-                let file = raw.open_split(split)?;
-                let rg_size = file
-                    .row_groups()
-                    .map(|rg| rg.row_count)
-                    .max()
-                    .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
-                let needed: Vec<usize> = {
-                    let mut v: Vec<usize> = compiled.iter().map(|(c, _)| *c).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                let cols = file.read_columns(&needed, None)?;
-                let n = cols.first().map_or(0, |c| c.len());
-                let col_of = |idx: usize| -> usize {
-                    needed
-                        .iter()
-                        .position(|&c| c == idx)
-                        .expect("requested column")
-                };
-                let groups = group_by_column(compiled.iter().map(|(c, p)| (*c, p)));
-                let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(n);
-                for i in 0..n {
-                    rows.push(extract_cache_row(
-                        &groups,
-                        &cols,
-                        &col_of,
-                        i,
-                        compiled.len(),
-                    ));
-                }
+                let (rows, rg_size, _) = parse_split(&raw, split, &compiled)?;
                 catalog.table_mut(CACHE_DB, &ct_name)?.append_file(
                     &rows,
                     WriteOptions {

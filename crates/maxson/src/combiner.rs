@@ -234,7 +234,7 @@ fn engine_err(e: maxson_storage::StorageError) -> maxson_engine::EngineError {
 mod tests {
     use super::*;
     use maxson_engine::exec::{execute_plan_with, ExecOptions};
-    use maxson_engine::expr::{Expr, JsonParserKind};
+    use maxson_engine::expr::Expr;
     use maxson_engine::scan::scan_rows;
     use maxson_engine::sql::BinaryOp;
     use maxson_engine::LogicalPlan;
@@ -474,13 +474,7 @@ mod tests {
             }),
         };
         let mut fm = ExecMetrics::default();
-        let out = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut fm,
-            ExecOptions::serial(),
-        )
-        .unwrap();
+        let out = execute_plan_with(&plan, &mut fm, ExecOptions::serial()).unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(
             out[0],

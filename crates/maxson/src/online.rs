@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use maxson_engine::expr::Expr;
+use maxson_engine::extract::{JsonExtractor, RowSlots};
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
@@ -19,6 +21,8 @@ use maxson_json::JsonPath;
 use maxson_obs::Tracer;
 use maxson_storage::{Cell, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
+
+use crate::cacher::tape_extraction;
 
 /// One cached value column.
 #[derive(Debug)]
@@ -223,8 +227,14 @@ impl ScanProvider for LruBackedProvider {
                 .schema()
                 .index_of(column)
                 .ok_or_else(|| EngineError::plan(format!("column '{column}' missing")))?;
-            let compiled = JsonPath::parse(path)
-                .map_err(|e| EngineError::plan(format!("bad path '{path}': {e}")))?;
+            let call = Expr::GetJsonObject {
+                column: 0,
+                path: JsonPath::parse(path)
+                    .map_err(|e| EngineError::plan(format!("bad path '{path}': {e}")))?,
+            };
+            // One parse per document: the LRU fills one path at a time, so
+            // there is no intra-column sharing here.
+            let extractor = JsonExtractor::new([&call], &tape_extraction());
             let mut values = Vec::new();
             let mut bytes = 0u64;
             for split in 0..self.table.file_count() {
@@ -232,28 +242,12 @@ impl ScanProvider for LruBackedProvider {
                 let cols = file
                     .read_columns(&[col_idx], None)
                     .map_err(EngineError::Storage)?;
-                let parse_start = Instant::now();
-                let mut stats = maxson_json::tape::TapeStats::default();
                 for i in 0..cols[0].len() {
-                    let v = match cols[0].get(i) {
-                        Cell::Str(json) => {
-                            maxson_json::tape::project_path(&json, &compiled, &mut stats)
-                                .map_or(Cell::Null, Cell::from)
-                        }
-                        _ => Cell::Null,
-                    };
+                    let doc = [cols[0].get(i)];
+                    let v = call.eval(&doc, &RowSlots::new(&extractor), metrics)?;
                     bytes += v.byte_size() as u64;
                     values.push(v);
-                    metrics.parse_calls += 1;
-                    // One real parse per value: the LRU fills one path at a
-                    // time, so there is no intra-column sharing here.
-                    metrics.docs_parsed += 1;
                 }
-                let parse_spent = parse_start.elapsed();
-                metrics.parse += parse_spent;
-                metrics.parse_wall += parse_spent;
-                metrics.nodes_skipped += stats.nodes_skipped;
-                metrics.charge_path_extracts(path, cols[0].len() as u64);
             }
             let values = Arc::new(values);
             // Insert with LRU eviction.
@@ -380,6 +374,23 @@ mod tests {
         assert_eq!((r2.metrics.lru_misses, r2.metrics.lru_hits), (0, 1));
         // The hit run performs no parsing.
         assert_eq!(r2.metrics.parse_calls, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The miss fill parses through the engine's extractor, so its
+    /// structural-index work is charged like a query's: one tape, hence
+    /// one bitmap build, per document.
+    #[test]
+    fn cold_fill_charges_one_bitmap_build_per_document() {
+        let (mut session, root) = setup("bitmaps");
+        session.set_scan_rewriter(Some(Box::new(OnlineLruRewriter::new(u64::MAX))));
+        let r = session
+            .execute("select get_json_object(payload, '$.b') as b from db.t")
+            .unwrap();
+        assert_eq!(r.metrics.lru_misses, 1);
+        assert_eq!(r.metrics.docs_parsed, 30);
+        assert_eq!(r.metrics.bitmap_builds, r.metrics.docs_parsed);
+        assert!(r.metrics.bitmap_builds > 0);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -129,7 +129,7 @@ fn cached_results_match_uncached_results_for_every_query() {
 fn cached_results_match_under_mison_parser_too() {
     let (root, queries) = workload_root("mison-equiv");
     let mut session = Session::open(&root).unwrap();
-    session.set_parser_kind(JsonParserKind::Mison);
+    session.set_parser(JsonParserKind::Mison);
     let reference: Vec<_> = queries
         .iter()
         .take(4)

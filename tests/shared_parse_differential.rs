@@ -76,7 +76,7 @@ fn shared_invariant_counters(m: &ExecMetrics) -> Vec<(&'static str, u64)> {
 fn assert_shared_differential(mut make_session: impl FnMut() -> Session, sql: &str, label: &str) {
     for parser in [JsonParserKind::Jackson, JsonParserKind::Mison] {
         let mut reference_session = make_session();
-        reference_session.set_parser_kind(parser);
+        reference_session.set_parser(parser);
         reference_session.set_threads(Some(1));
         reference_session.set_shared_parse(Some(false));
         let reference = reference_session
@@ -89,7 +89,7 @@ fn assert_shared_differential(mut make_session: impl FnMut() -> Session, sql: &s
         let mut shared_docs: Option<u64> = None;
         for threads in [1, 4] {
             let mut session = make_session();
-            session.set_parser_kind(parser);
+            session.set_parser(parser);
             session.set_threads(Some(threads));
             session.set_shared_parse(Some(true));
             let result = session.execute(sql).unwrap_or_else(|e| {
@@ -253,7 +253,7 @@ fn fig15_shape_reaches_4x_dedup_factor() {
                get_json_object(payload, '$.c') as c from db.t \
                where get_json_object(payload, '$.v') >= 0";
     for parser in [JsonParserKind::Jackson, JsonParserKind::Mison] {
-        session.set_parser_kind(parser);
+        session.set_parser(parser);
         session.set_threads(Some(1));
         session.set_shared_parse(Some(false));
         let naive = session.execute(sql).unwrap();
@@ -270,6 +270,12 @@ fn fig15_shape_reaches_4x_dedup_factor() {
             shared.metrics.parse_dedup_factor()
         );
         assert_eq!(naive.metrics.docs_parsed, 480);
+        if parser == JsonParserKind::Mison {
+            assert_eq!(
+                naive.metrics.bitmap_builds, naive.metrics.docs_parsed,
+                "without sharing every call builds its own structural index"
+            );
+        }
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -398,7 +404,7 @@ fn property_random_json_queries_shared_equals_naive() {
             } else {
                 JsonParserKind::Jackson
             };
-            session.set_parser_kind(parser);
+            session.set_parser(parser);
             let sql = scenario_sql(scenario);
 
             session.set_threads(Some(1));

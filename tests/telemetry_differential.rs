@@ -134,7 +134,7 @@ fn golden_queries_unchanged_by_telemetry_three_parsers_both_thread_counts() {
         for threads in [1usize, 4] {
             let make = || {
                 let mut session = Session::open(&root).unwrap();
-                session.set_parser_kind(parser);
+                session.set_parser(parser);
                 session.set_threads(Some(threads));
                 let rewriter = MaxsonScanRewriter::open(&root).unwrap();
                 session.set_scan_rewriter(Some(Box::new(rewriter)));
@@ -199,7 +199,7 @@ fn synthetic_warehouse_unchanged_by_telemetry() {
         for threads in [1usize, 4] {
             let make = || {
                 let mut session = Session::open(&root).unwrap();
-                session.set_parser_kind(parser);
+                session.set_parser(parser);
                 session.set_threads(Some(threads));
                 session
             };
@@ -219,7 +219,7 @@ fn synthetic_warehouse_unchanged_by_telemetry() {
 fn replay_golden(parser: JsonParserKind) -> (Arc<Registry>, Vec<ExecMetrics>) {
     let root = bench_data_root();
     let mut session = Session::open(&root).unwrap();
-    session.set_parser_kind(parser);
+    session.set_parser(parser);
     session.set_threads(Some(2));
     let registry = Arc::new(Registry::new());
     session.set_metrics_registry(Arc::clone(&registry));

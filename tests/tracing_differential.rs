@@ -88,7 +88,7 @@ fn golden_queries_unchanged_by_tracing_both_parsers_both_thread_counts() {
         for threads in [1usize, 4] {
             let make = || {
                 let mut session = Session::open(&root).unwrap();
-                session.set_parser_kind(parser);
+                session.set_parser(parser);
                 session.set_threads(Some(threads));
                 let rewriter = MaxsonScanRewriter::open(&root).unwrap();
                 session.set_scan_rewriter(Some(Box::new(rewriter)));
@@ -216,7 +216,7 @@ fn property_tracing_never_changes_rows_or_counters() {
                 let mut session = Session::open(&root).unwrap();
                 session.set_threads(Some(scenario.threads));
                 if scenario.mison {
-                    session.set_parser_kind(JsonParserKind::Mison);
+                    session.set_parser(JsonParserKind::Mison);
                 }
                 session
             };

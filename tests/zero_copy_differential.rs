@@ -108,7 +108,7 @@ fn assert_zero_copy_differential(
     label: &str,
 ) {
     let mut reference_session = make_session();
-    reference_session.set_parser_kind(JsonParserKind::Jackson);
+    reference_session.set_parser(JsonParserKind::Jackson);
     reference_session.set_threads(Some(1));
     reference_session.set_shared_parse(Some(false));
     let reference = reference_session
@@ -121,7 +121,7 @@ fn assert_zero_copy_differential(
             let mut docs: Option<u64> = None;
             for threads in [1usize, 4] {
                 let mut session = make_session();
-                session.set_parser_kind(parser);
+                session.set_parser(parser);
                 session.set_threads(Some(threads));
                 session.set_shared_parse(Some(shared));
                 let result = session.execute(sql).unwrap_or_else(|e| {
@@ -421,7 +421,7 @@ fn property_random_queries_identical_across_batching_matrix() {
             let mut reference_session = build_scenario_table(scenario, &root);
             let sql = scenario_sql(scenario);
 
-            reference_session.set_parser_kind(JsonParserKind::Jackson);
+            reference_session.set_parser(JsonParserKind::Jackson);
             reference_session.set_threads(Some(1));
             reference_session.set_shared_parse(Some(false));
             let reference = reference_session
@@ -433,7 +433,7 @@ fn property_random_queries_identical_across_batching_matrix() {
                 for shared in [false, true] {
                     for threads in [1usize, 4] {
                         let mut session = Session::open(&root).unwrap();
-                        session.set_parser_kind(parser);
+                        session.set_parser(parser);
                         session.set_threads(Some(threads));
                         session.set_shared_parse(Some(shared));
                         let result = session.execute(&sql).map_err(|e| {
